@@ -29,11 +29,11 @@
 //!   pinning the bounded-memory claim: peak resident parse state vs the
 //!   whole document a batch parse holds.
 //! * `delta/append_Npct` — incremental delta linking: a base catalog
-//!   grown by a {1, 10}% appended shard, `run_sharded_delta` over the
+//!   grown by a {1, 10}% appended shard, `try_run_sharded_delta` over the
 //!   new shard only vs a full re-run, emitted as a speedup metric line.
 //! * `serve/*` — probe throughput plus two republish latencies per
 //!   blocker: `swap_latency` (full rebuild + warm) and
-//!   `append_latency` (`Linker::append`, the O(delta) epoch successor).
+//!   `append_latency` (`Linker::try_append`, the O(delta) epoch successor).
 //!
 //! Before the pipeline series, one instrumented run prints the
 //! **blocking vs comparison wall-time split** so the bench output shows
@@ -43,7 +43,7 @@ use classilink_datagen::scenario::{generate, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_eval::blocking_eval::default_key;
 use classilink_linking::blocking::{
-    Blocker, CartesianBlocker, SortedNeighborhoodBlocker, StandardBlocker,
+    candidate_pairs, Blocker, CartesianBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{
     BigramBlocker, CandidateRuns, FeedFormat, FeedIngest, LinkagePipeline, Linker, ProbeScratch,
@@ -131,7 +131,7 @@ fn emit_peak_bytes(label: &str, peak_bytes: usize, batch_bytes: usize) {
 }
 
 /// Append one delta-vs-full metric line: wall time of the incremental
-/// `run_sharded_delta` over the appended shards against a full re-run of
+/// `try_run_sharded_delta` over the appended shards against a full re-run of
 /// the grown catalog, plus their ratio (the delta speedup).
 fn emit_delta_speedup(label: &str, full_ns: u128, delta_ns: u128, speedup: f64) {
     let Ok(path) = std::env::var("CLASSILINK_BENCH_JSON") else {
@@ -454,7 +454,7 @@ fn bench_paper_scale(c: &mut Criterion) {
         SimilarityMeasure::JaroWinkler,
     )
     .with_thresholds(0.9, 0.75);
-    let candidates = blocker.candidate_pairs(&external, &local).len() as u64;
+    let candidates = candidate_pairs(&blocker, &external, &local).len() as u64;
     println!("standard blocking candidates: {candidates}");
 
     // One instrumented run: how much of the sharded pipeline's wall
@@ -466,7 +466,9 @@ fn bench_paper_scale(c: &mut Criterion) {
         blocker.stream_candidates(&blocking_external, (&blocking_local).into(), &mut runs);
         let blocking = start.elapsed();
         let start = Instant::now();
-        let result = pipeline.run_sharded(&blocking_external, &blocking_local);
+        let result = pipeline
+            .try_run_sharded(&blocking_external, &blocking_local)
+            .unwrap();
         let total = start.elapsed();
         let comparison = total.saturating_sub(blocking);
         println!(
@@ -481,7 +483,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     group.throughput(Throughput::Elements(candidates));
     group.bench_function("pipeline/single_store", |b| {
         let pipeline = LinkagePipeline::new(&blocker, &comparator).with_threads(threads);
-        b.iter(|| pipeline.run_stores(&external, &local))
+        b.iter(|| pipeline.try_run_sharded(&external, &local).unwrap())
     });
 
     // Fault-overhead guard: this build compiles failpoints to nothing
@@ -496,7 +498,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     {
         let pipeline = LinkagePipeline::new(&blocker, &comparator).with_threads(threads);
         let start = Instant::now();
-        let result = pipeline.run_stores(&external, &local);
+        let result = pipeline.try_run_sharded(&external, &local).unwrap();
         let eps = result.comparisons as f64 / start.elapsed().as_secs_f64();
         match baseline_single_store_eps() {
             Some((baseline_file, baseline_eps)) => {
@@ -533,7 +535,11 @@ fn bench_paper_scale(c: &mut Criterion) {
             &shards,
             |b, _| {
                 let pipeline = LinkagePipeline::new(&blocker, &comparator).with_threads(threads);
-                b.iter(|| pipeline.run_sharded(&sharded_external, &sharded_local))
+                b.iter(|| {
+                    pipeline
+                        .try_run_sharded(&sharded_external, &sharded_local)
+                        .unwrap()
+                })
             },
         );
     }
@@ -541,7 +547,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     // Incremental delta linking: grow a 4-shard base catalog by an
     // appended batch of {1, 10}% of the records (sampled across the
     // catalog) and link **only the appended shard** with
-    // `run_sharded_delta`, against a full re-run of the grown catalog.
+    // `try_run_sharded_delta`, against a full re-run of the grown catalog.
     // Hand-timed on warm indexes (one untimed full run first) and
     // emitted as a `delta/append_Npct` metric line carrying both wall
     // times and their ratio — the speedup the append-only epoch path
@@ -570,13 +576,15 @@ fn bench_paper_scale(c: &mut Criterion) {
             }
             let appended = base.append_shards(delta);
             let pipeline = LinkagePipeline::new(&blocker, &comparator).with_threads(threads);
-            pipeline.run_sharded(&external, &appended); // warm every index once
+            pipeline.try_run_sharded(&external, &appended).unwrap(); // warm every index once
 
             let start = Instant::now();
-            let full = pipeline.run_sharded(&external, &appended);
+            let full = pipeline.try_run_sharded(&external, &appended).unwrap();
             let full_ns = start.elapsed().as_nanos().max(1);
             let start = Instant::now();
-            let delta_run = pipeline.run_sharded_delta(&external, &appended, first_new);
+            let delta_run = pipeline
+                .try_run_sharded_delta(&external, &appended, first_new)
+                .unwrap();
             let delta_ns = start.elapsed().as_nanos().max(1);
             let speedup = full_ns as f64 / delta_ns as f64;
             println!(
@@ -598,9 +606,9 @@ fn bench_paper_scale(c: &mut Criterion) {
     // per blocker; throughput is the probe count, so the report reads
     // **probes per second**. Each blocker also emits two republish
     // timing lines — `serve/swap_latency/<blocker>`, the wall time of a
-    // cold catalog rebuild plus `Linker::swap` (epoch build + warm +
+    // cold catalog rebuild plus `Linker::try_swap` (epoch build + warm +
     // pointer flip), and `serve/append_latency/<blocker>`, the O(delta)
-    // `Linker::append` — hand-timed because iterating catalog rebuilds
+    // `Linker::try_append` — hand-timed because iterating catalog rebuilds
     // through criterion would dwarf the smoke run.
     {
         let probe_records: Vec<_> = (0..64).map(|e| external.record(e)).collect();
@@ -614,7 +622,11 @@ fn bench_paper_scale(c: &mut Criterion) {
             let mut scratch = ProbeScratch::new();
             let mut warm_links = 0usize;
             for record in &probe_records {
-                warm_links += linker.probe_with(record, &mut scratch).matches.len();
+                warm_links += linker
+                    .try_probe_with(record, &mut scratch)
+                    .unwrap()
+                    .matches
+                    .len();
             }
             println!(
                 "serve/probe/{name}: {warm_links} links across {} warm probes",
@@ -625,7 +637,11 @@ fn bench_paper_scale(c: &mut Criterion) {
                 b.iter(|| {
                     let mut links = 0usize;
                     for record in &probe_records {
-                        links += linker.probe_with(record, &mut scratch).matches.len();
+                        links += linker
+                            .try_probe_with(record, &mut scratch)
+                            .unwrap()
+                            .matches
+                            .len();
                     }
                     links
                 })
@@ -639,7 +655,9 @@ fn bench_paper_scale(c: &mut Criterion) {
             const SWAPS: u64 = 2;
             let start = Instant::now();
             for _ in 0..SWAPS {
-                linker.swap(ShardedStore::from_records(&catalog_records, 4));
+                linker
+                    .try_swap(ShardedStore::from_records(&catalog_records, 4))
+                    .unwrap();
             }
             let mean_ns =
                 u64::try_from(start.elapsed().as_nanos() / u128::from(SWAPS)).unwrap_or(u64::MAX);
@@ -651,7 +669,7 @@ fn bench_paper_scale(c: &mut Criterion) {
             );
 
             // The incremental republish beside the full one: each
-            // `Linker::append` columnarises a 1% batch as one new shard
+            // `Linker::try_append` columnarises a 1% batch as one new shard
             // and warms only that shard — the O(delta) counterpart of
             // the full-rebuild swap above.
             const APPENDS: u64 = 2;
@@ -662,7 +680,7 @@ fn bench_paper_scale(c: &mut Criterion) {
                 for record in &append_batch {
                     delta.push(record);
                 }
-                linker.append(delta);
+                linker.try_append(delta).unwrap();
             }
             let append_ns =
                 u64::try_from(start.elapsed().as_nanos() / u128::from(APPENDS)).unwrap_or(u64::MAX);

@@ -168,7 +168,7 @@ impl GeneratedScenario {
     }
 
     /// Columnarise the catalog into `shard_count` contiguous shards for
-    /// [`LinkagePipeline::run_sharded`](classilink_linking::LinkagePipeline::run_sharded).
+    /// [`LinkagePipeline::try_run_sharded`](classilink_linking::LinkagePipeline::try_run_sharded).
     /// Record order — and therefore global ids — matches
     /// [`local_store`](Self::local_store).
     pub fn local_store_sharded(&self, shard_count: usize) -> ShardedStore {

@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn retain_runs_matches_filter_on_global_ids() {
-        use crate::blocking::{Blocker, CandidateRuns, CartesianBlocker};
+        use crate::blocking::{candidate_pairs, Blocker, CandidateRuns, CartesianBlocker};
         use crate::record::Record;
         use crate::shard::ShardedStore;
         use crate::store::RecordStore;
@@ -159,7 +159,7 @@ mod tests {
         );
         let streamed = runs.into_global_pairs((&sharded).into());
 
-        let all = CartesianBlocker.candidate_pairs_sharded(&external, &sharded);
+        let all = candidate_pairs(&CartesianBlocker, &external, &sharded);
         let expected = filter.filter(&all, &external_classes, &local_classes);
         assert_eq!(streamed.len(), expected.len());
         let streamed: std::collections::HashSet<_> = streamed.into_iter().collect();

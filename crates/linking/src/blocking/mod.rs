@@ -20,9 +20,8 @@
 //! artifacts (key tables, bigram postings, rule classifications) once
 //! per run and read per-record keys and bigrams from the store-level
 //! [`KeyIndex`] cache, making steady-state
-//! blocking allocation-free. The materialising
-//! [`Blocker::candidate_pairs`] / [`Blocker::candidate_pairs_sharded`]
-//! APIs remain as thin adapters for external callers.
+//! blocking allocation-free. Callers that want a flat pair list decode
+//! the same stream with the free [`candidate_pairs`] function.
 
 pub mod bigram;
 pub mod disjointness;
@@ -38,7 +37,7 @@ pub use rule_based::RuleBasedBlocker;
 pub use sorted_neighborhood::SortedNeighborhoodBlocker;
 pub use standard::StandardBlocker;
 
-use crate::shard::{LocalShards, ShardedStore};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::KeyIndex;
 use std::sync::Arc;
@@ -538,7 +537,7 @@ impl CandidateRuns {
     /// blocker with global state, like sorted neighbourhood, must still
     /// walk the whole catalog to emit the right new-shard candidates).
     /// This is the delta-linking contract of
-    /// [`LinkagePipeline::run_sharded_delta`](crate::pipeline::LinkagePipeline::run_sharded_delta):
+    /// [`LinkagePipeline::try_run_sharded_delta`](crate::pipeline::LinkagePipeline::try_run_sharded_delta):
     /// the surviving blocks are exactly the `first..` slice of an
     /// unrestricted run. The restriction is sticky across
     /// [`reset`](Self::reset); construct a fresh sink to lift it.
@@ -640,9 +639,9 @@ impl CandidateRuns {
         (block.external as usize, run.local_run(block))
     }
 
-    /// Decode one shard's candidates as explicit pairs, in block
-    /// emission order (the materialising adapters' and tests' view of
-    /// the compressed runs).
+    /// Decode one shard's candidates as explicit shard-local pairs, in
+    /// block emission order (the flat view of the compressed runs that
+    /// [`into_global_pairs`](Self::into_global_pairs) and tests read).
     pub fn pairs(&self, shard: usize) -> impl Iterator<Item = CandidatePair> + '_ {
         let run = &self.per_shard[shard];
         run.blocks.iter().flat_map(move |block| {
@@ -735,20 +734,9 @@ impl CandidateRuns {
         self.total = total;
     }
 
-    /// Decode one shard's candidates into a fresh pair vector and clear
-    /// the shard (the single-store adapter path).
-    pub fn take_shard(&mut self, shard: usize) -> Vec<CandidatePair> {
-        let pairs: Vec<CandidatePair> = self.pairs(shard).collect();
-        self.total -= self.per_shard[shard].count;
-        self.per_shard[shard].clear();
-        pairs
-    }
-
-    /// Flatten into one **global**-id pair vector in the legacy
-    /// materialised layout: each shard's decoded run sorted by index
-    /// pair, shards concatenated in catalog order (exactly what the
-    /// default per-shard [`Blocker::candidate_pairs_sharded`] used to
-    /// produce for blockers whose per-shard output is sorted).
+    /// Flatten into one **global**-id pair vector: each shard's decoded
+    /// run sorted by index pair, shards concatenated in catalog order
+    /// (for a single-store view, fully index-sorted).
     pub fn into_global_pairs(self, local: LocalShards<'_>) -> Vec<CandidatePair> {
         let mut pairs = Vec::with_capacity(self.total as usize);
         for s in 0..self.per_shard.len() {
@@ -770,83 +758,28 @@ pub trait Blocker {
     /// A short stable name for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Produce candidate pairs as indexes into `external` and `local`.
-    /// Implementations must not return duplicates.
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair>;
-
-    /// Produce candidate pairs against a sharded catalog, with the local
-    /// side given as **global** record ids.
-    ///
-    /// The default implementation runs [`candidate_pairs`](Self::candidate_pairs)
-    /// per shard and offsets the shard-local ids back to global ids. For
-    /// blockers whose decision for a pair depends only on the two records
-    /// themselves (cartesian, standard key blocking, bigram indexing,
-    /// rule-based), the per-shard union is **exactly** the single-store
-    /// candidate set. Blockers with cross-record state spanning the whole
-    /// catalog must override this to preserve that equivalence — see
-    /// [`SortedNeighborhoodBlocker`], whose sliding window crosses shard
-    /// boundaries.
-    ///
-    /// This is the **materialising** API, kept for external callers and
-    /// as the equivalence reference; the pipeline itself consumes
-    /// [`stream_candidates`](Self::stream_candidates).
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut pairs = Vec::new();
-        for s in 0..local.shard_count() {
-            let base = local.offset(s);
-            pairs.extend(
-                self.candidate_pairs(external, local.shard(s))
-                    .into_iter()
-                    .map(|(e, l)| (e, base + l)),
-            );
-        }
-        pairs
-    }
-
     /// Stream candidate pairs as **per-shard runs of shard-local ids**
-    /// into `out` — the pipeline's blocking entry point. The runs feed
-    /// the work-stealing scheduler's per-shard task queues directly, so
-    /// no global pair vector is materialised, nothing is sorted, and no
+    /// into `out` — the one blocking entry point. The runs feed the
+    /// work-stealing scheduler's per-shard task queues directly, so no
+    /// global pair vector is materialised, nothing is sorted, and no
     /// global id is ever routed back to a shard; the sum of run lengths
     /// is the comparison count.
     ///
     /// Implementations must clear `out` (via [`CandidateRuns::reset`])
-    /// and then produce, across all shards, exactly the candidate set of
-    /// the materialising APIs: the built-in blockers stream natively
-    /// (external-side artifacts computed once and shared across shards,
-    /// keys and bigrams served by the store-level
-    /// [`KeyIndex`]); the default
-    /// implementation adapts the materialising path — per-shard
-    /// [`candidate_pairs`](Self::candidate_pairs) for a single-store
-    /// view, a routed [`candidate_pairs_sharded`](Self::candidate_pairs_sharded)
-    /// call otherwise — so external `Blocker` impls (including ones that
-    /// override the sharded method with cross-shard semantics) stay
-    /// correct unchanged.
+    /// and then produce each candidate pair exactly once. The candidate
+    /// set must not depend on how the catalog is sharded: a blocker with
+    /// cross-record state (like [`SortedNeighborhoodBlocker`], whose
+    /// window crosses shard boundaries) walks the whole view. The
+    /// built-in blockers compute their external-side artifacts once and
+    /// share them across shards, with keys and bigrams served by the
+    /// store-level [`KeyIndex`]. Use [`candidate_pairs`] for a flat
+    /// global-id pair list.
     fn stream_candidates(
         &self,
         external: &RecordStore,
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
-    ) {
-        out.reset(local.shard_count());
-        match local.sharded() {
-            Some(store) => {
-                for (e, global) in self.candidate_pairs_sharded(external, store) {
-                    let (shard, shard_local) = store.locate(global);
-                    out.push(shard, e, shard_local);
-                }
-            }
-            None => {
-                for (e, l) in self.candidate_pairs(external, local.shard(0)) {
-                    out.push(0, e, l);
-                }
-            }
-        }
-    }
+    );
 
     /// Eagerly build the **local-side artifacts** this blocker reads
     /// while streaming — key indexes, sort ladders, bigram postings and
@@ -872,16 +805,6 @@ impl Blocker for CartesianBlocker {
         "cartesian"
     }
 
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut pairs = Vec::with_capacity(external.len() * local.len());
-        for e in 0..external.len() {
-            for l in 0..local.len() {
-                pairs.push((e, l));
-            }
-        }
-        pairs
-    }
-
     /// Native streaming: every external × every shard record, as **one
     /// span block per external per shard** — O(externals × shards)
     /// blocks for O(externals × records) candidates, the densest
@@ -903,6 +826,25 @@ impl Blocker for CartesianBlocker {
             }
         }
     }
+}
+
+/// Materialise `blocker`'s candidates against `local` as one index-sorted
+/// vector of `(external, global local id)` pairs — a decoder over
+/// [`Blocker::stream_candidates`] and [`CandidateRuns::into_global_pairs`].
+/// The result is the same for a monolithic store and for any sharding of
+/// it. Evaluation and tests use this view; the pipeline consumes the
+/// stream directly.
+pub fn candidate_pairs<'l>(
+    blocker: &dyn Blocker,
+    external: &RecordStore,
+    local: impl Into<LocalShards<'l>>,
+) -> Vec<CandidatePair> {
+    let local = local.into();
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(external, local, &mut runs);
+    let mut pairs = runs.into_global_pairs(local);
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Summary statistics of one blocking run, evaluated against a gold standard
@@ -1029,7 +971,7 @@ mod tests {
     #[test]
     fn cartesian_produces_all_pairs() {
         let (external, local) = small_stores();
-        let pairs = CartesianBlocker.candidate_pairs(&external, &local);
+        let pairs = candidate_pairs(&CartesianBlocker, &external, &local);
         assert_eq!(pairs.len(), 20);
         assert_eq!(CartesianBlocker.name(), "cartesian");
         let unique: HashSet<_> = pairs.iter().collect();
@@ -1042,12 +984,8 @@ mod tests {
             let (e, _) = small_stores();
             (e, RecordStore::from_records(&[]))
         };
-        assert!(CartesianBlocker
-            .candidate_pairs(&external, &empty)
-            .is_empty());
-        assert!(CartesianBlocker
-            .candidate_pairs(&empty, &external)
-            .is_empty());
+        assert!(candidate_pairs(&CartesianBlocker, &external, &empty).is_empty());
+        assert!(candidate_pairs(&CartesianBlocker, &empty, &external).is_empty());
     }
 
     #[test]
@@ -1067,7 +1005,7 @@ mod tests {
     fn stats_for_cartesian_blocking() {
         let (external, local) = small_stores();
         let true_pairs: HashSet<CandidatePair> = (0..4).map(|i| (i, i)).collect();
-        let candidates = CartesianBlocker.candidate_pairs(&external, &local);
+        let candidates = candidate_pairs(&CartesianBlocker, &external, &local);
         let stats = BlockingStats::evaluate(&candidates, &true_pairs, 4, 5);
         assert_eq!(stats.reduction_ratio, 0.0);
         assert_eq!(stats.pairs_completeness, 1.0);
@@ -1103,10 +1041,6 @@ mod tests {
         runs.retain(|shard, e, _l| shard == 2 && e > 0);
         assert_eq!(runs.total(), 1);
         assert_eq!(shard_pairs(&runs, 2), vec![(4, 1)]);
-        // take_shard moves a run out.
-        let run = runs.take_shard(2);
-        assert_eq!(run, vec![(4, 1)]);
-        assert_eq!(runs.total(), 0);
         // Reset re-sizes (down and up) and clears.
         runs.push(1, 9, 9);
         runs.reset(1);
@@ -1199,63 +1133,6 @@ mod tests {
         assert_eq!(pairs, vec![(0, 0), (1, 1), (0, 3), (2, 4)]);
     }
 
-    /// A blocker that only overrides the materialising sharded API (the
-    /// pre-streaming extension point, e.g. with cross-shard semantics):
-    /// the default `stream_candidates` must route its global pairs back
-    /// to shard-local runs unchanged.
-    struct LegacySharded;
-
-    impl Blocker for LegacySharded {
-        fn name(&self) -> &'static str {
-            "legacy-sharded"
-        }
-
-        fn candidate_pairs(
-            &self,
-            external: &RecordStore,
-            local: &RecordStore,
-        ) -> Vec<CandidatePair> {
-            // Pair record i with record i (what the sharded override
-            // below would NOT produce per shard — the test relies on the
-            // two APIs disagreeing to prove which one streaming adapts).
-            (0..external.len().min(local.len()))
-                .map(|i| (i, i))
-                .collect()
-        }
-
-        fn candidate_pairs_sharded(
-            &self,
-            external: &RecordStore,
-            local: &ShardedStore,
-        ) -> Vec<CandidatePair> {
-            // Cross-shard semantics: every external with the *last* record.
-            (0..external.len()).map(|e| (e, local.len() - 1)).collect()
-        }
-    }
-
-    #[test]
-    fn default_stream_adapts_the_materialising_apis() {
-        let (external, _) = small_stores();
-        let local_records: Vec<_> = (0..5).map(|i| loc_record(i, "PN")).collect();
-        let sharded = crate::shard::ShardedStore::from_records(&local_records, 2);
-        let mut runs = CandidateRuns::new();
-        // Sharded view → routed candidate_pairs_sharded (last record is
-        // shard 1, local id 1 with shards of 3 + 2).
-        LegacySharded.stream_candidates(&external, (&sharded).into(), &mut runs);
-        assert_eq!(runs.total(), 4);
-        assert!(shard_pairs(&runs, 0).is_empty());
-        assert_eq!(shard_pairs(&runs, 1), vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
-        // Single-store view → candidate_pairs.
-        let local = RecordStore::from_records(&local_records);
-        LegacySharded.stream_candidates(
-            &external,
-            crate::shard::LocalShards::single(&local),
-            &mut runs,
-        );
-        assert_eq!(runs.shard_count(), 1);
-        assert_eq!(shard_pairs(&runs, 0), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
-    }
-
     #[test]
     fn cartesian_stream_covers_every_shard_pair() {
         let (external, _) = small_stores();
@@ -1269,8 +1146,7 @@ mod tests {
             .into_iter()
             .collect();
         let local = RecordStore::from_records(&local_records);
-        let expected: HashSet<_> = CartesianBlocker
-            .candidate_pairs(&external, &local)
+        let expected: HashSet<_> = candidate_pairs(&CartesianBlocker, &external, &local)
             .into_iter()
             .collect();
         assert_eq!(globalised, expected);

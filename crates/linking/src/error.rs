@@ -51,9 +51,11 @@ pub enum LinkError {
         /// Stringified panic payload.
         payload: String,
     },
-    /// Building or warming the next catalog epoch inside
-    /// [`Linker::try_swap`](crate::serve::Linker::try_swap) panicked; the
-    /// previous epoch is still serving and the sequence did not advance.
+    /// Building or warming a catalog epoch panicked — in
+    /// [`Linker::open`](crate::serve::Linker::open) (no linker was
+    /// built), or in [`Linker::try_swap`](crate::serve::Linker::try_swap)
+    /// / [`Linker::try_append`](crate::serve::Linker::try_append) (the
+    /// previous epoch is still serving and the sequence did not advance).
     EpochBuildPanicked {
         /// Stringified panic payload.
         payload: String,
@@ -131,10 +133,7 @@ impl fmt::Display for LinkError {
                 write!(f, "columnarising shard {shard} panicked: {payload}")
             }
             LinkError::EpochBuildPanicked { payload } => {
-                write!(
-                    f,
-                    "epoch build panicked (previous epoch still serving): {payload}"
-                )
+                write!(f, "epoch build panicked: {payload}")
             }
             LinkError::ProbePanicked { payload } => write!(f, "probe panicked: {payload}"),
             LinkError::IngestFailed { payload } => {

@@ -32,11 +32,9 @@
 //!   class-disjointness filtering and the rule-based blocker that wraps the
 //!   paper's classifier. All of them stream per-shard candidate runs
 //!   ([`blocking::Blocker::stream_candidates`])
-//!   straight into the pipeline's task queues; the materialising
-//!   `candidate_pairs*` APIs remain as thin adapters.
-//! * [`index`] — a small generic inverted index (kept for external
-//!   consumers; bigram blocking now probes the packed posting lists of
-//!   the [`token_index::KeyIndex`]).
+//!   straight into the pipeline's task queues;
+//!   [`blocking::candidate_pairs`] decodes the same stream into a flat
+//!   pair list.
 //! * [`ingest`] — streaming ingestion: the incremental RDF parsers feed
 //!   a subject-grouping adapter that columnarises straight into shard
 //!   builders with bounded transient memory; every `from_graph`
@@ -59,11 +57,12 @@
 //! ## Quick example
 //!
 //! ```
-//! use classilink_linking::blocking::{Blocker, BlockingKey, StandardBlocker};
+//! use classilink_linking::blocking::{BlockingKey, StandardBlocker};
 //! use classilink_linking::comparator::RecordComparator;
 //! use classilink_linking::pipeline::LinkagePipeline;
 //! use classilink_linking::record::Record;
 //! use classilink_linking::similarity::SimilarityMeasure;
+//! use classilink_linking::store::RecordStore;
 //! use classilink_rdf::Term;
 //!
 //! let pn = "http://example.org/vocab#partNumber";
@@ -71,10 +70,14 @@
 //! external.add(pn, "CRCW0805-10K");
 //! let mut local = Record::new(Term::iri("http://local.example.org/prod/1"));
 //! local.add(pn, "CRCW0805-10K");
+//! let external = RecordStore::from_records(&[external]);
+//! let local = RecordStore::from_records(&[local]);
 //!
 //! let blocker = StandardBlocker::new(BlockingKey::shared(pn, 4));
 //! let comparator = RecordComparator::single(pn, pn, SimilarityMeasure::JaroWinkler);
-//! let result = LinkagePipeline::new(&blocker, &comparator).run(&[external], &[local]);
+//! let result = LinkagePipeline::new(&blocker, &comparator)
+//!     .try_run_sharded(&external, &local)
+//!     .unwrap();
 //! assert_eq!(result.matches.len(), 1);
 //! ```
 
@@ -83,7 +86,6 @@
 pub mod blocking;
 pub mod comparator;
 pub mod error;
-pub mod index;
 pub mod ingest;
 pub mod intern;
 pub mod persist;
@@ -104,7 +106,6 @@ pub use comparator::{
     AttributeRule, Comparison, CompiledComparator, LeftHoist, MatchDecision, RecordComparator,
 };
 pub use error::{LinkError, LinkResult};
-pub use index::InvertedIndex;
 pub use ingest::{FeedFormat, FeedIngest, RecordSink, SubjectGrouper};
 pub use intern::{PropertyId, PropertyInterner, SchemaInterner};
 pub use persist::{CatalogSnapshot, PersistError, RecoveryReport, SnapshotReceipt};

@@ -10,7 +10,7 @@
 //! comparator is compiled once (property IRIs → interned ids), and the
 //! candidates are scored by a **work-stealing run-block scheduler** —
 //! every store (or every shard of a [`ShardedStore`], see
-//! [`LinkagePipeline::run_sharded`]) contributes a task queue of
+//! [`LinkagePipeline::try_run_sharded`]) contributes a task queue of
 //! run-length [`CandidateBlock`]s with a comparison-count prefix sum;
 //! workers claim the next `STEAL_BLOCK` **comparisons** with one atomic
 //! increment (claims split inside large blocks, so a single cartesian
@@ -35,7 +35,6 @@
 use crate::blocking::{Blocker, CandidateBlock, CandidateRuns, LocalRun};
 use crate::comparator::{CompiledComparator, LeftHoist, MatchDecision, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
-use crate::record::Record;
 use crate::shard::{LocalShards, ShardedStore};
 use crate::similarity::SimScratch;
 use crate::store::RecordStore;
@@ -115,64 +114,9 @@ impl<'a> LinkagePipeline<'a> {
         self
     }
 
-    /// Columnarise two record slices and run the pipeline (the mechanical
-    /// migration path for `&[Record]` call sites; store-holding callers
-    /// should use [`run_stores`](Self::run_stores)).
-    pub fn run(&self, external: &[Record], local: &[Record]) -> LinkageResult {
-        self.run_stores(
-            &RecordStore::from_records(external),
-            &RecordStore::from_records(local),
-        )
-    }
-
-    /// Run blocking and comparison over two record stores.
-    ///
-    /// Blocking streams (see [`Blocker::stream_candidates`]): the
-    /// monolithic store is a single-shard view whose candidate run *is*
-    /// the comparison task queue.
-    ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_run_stores`](Self::try_run_stores).
-    pub fn run_stores(&self, external: &RecordStore, local: &RecordStore) -> LinkageResult {
-        self.try_run_stores(external, local)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_stores`](Self::run_stores): a panic inside the
-    /// blocking or comparison phase is caught at the phase boundary and
-    /// returned as a [`LinkError`] instead of unwinding into the caller.
-    /// The stores and their lazily built indexes stay valid — a clean
-    /// retry is bit-identical to a never-faulted run.
-    pub fn try_run_stores(
-        &self,
-        external: &RecordStore,
-        local: &RecordStore,
-    ) -> LinkResult<LinkageResult> {
-        let mut runs = CandidateRuns::new();
-        self.stream_blocking(external, LocalShards::single(local), &mut runs)?;
-        let naive_pairs = external.len() as u64 * local.len() as u64;
-        let compiled = self.comparator.compile(external, local);
-        if compiled.uses_token_index() {
-            // Build the token indexes before the workers start, so the
-            // per-pair loop only ever sees the cached index.
-            external.token_index();
-            local.token_index();
-        }
-        // A monolithic store is one task queue; workers still steal
-        // comparison ranges from it instead of folding fixed
-        // `len / threads` chunks, so stragglers no longer serialise the
-        // join.
-        let comparisons = runs.total() as usize;
-        let queues = [TaskQueue::new(local, 0, &runs, 0, external.len())];
-        let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
-    }
-
-    /// Run blocking and comparison against a sharded catalog.
+    /// Run blocking and comparison of `external` against a local side —
+    /// a monolithic [`RecordStore`] or a [`ShardedStore`] (anything
+    /// convertible into [`LocalShards`]).
     ///
     /// Blocking **streams per-shard candidate runs** (shard-local ids,
     /// see [`Blocker::stream_candidates`]) straight into the
@@ -181,46 +125,20 @@ impl<'a> LinkagePipeline<'a> {
     /// id is routed back through the offset table's binary search — the
     /// sum of run lengths is the comparison count. The comparator is
     /// compiled **once** against the shared schema and reused by every
-    /// worker on every shard. Output is byte-identical to
-    /// [`run_stores`](Self::run_stores) on the equivalent single store.
+    /// worker on every shard, so the output is byte-identical for a
+    /// monolithic store and for any sharding of it.
     ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_run_sharded`](Self::try_run_sharded).
-    pub fn run_sharded(&self, external: &RecordStore, local: &ShardedStore) -> LinkageResult {
-        self.try_run_sharded(external, local)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_sharded`](Self::run_sharded): see
-    /// [`try_run_stores`](Self::try_run_stores) for the containment
-    /// contract.
-    pub fn try_run_sharded(
+    /// A panic inside the blocking or comparison phase is caught at the
+    /// phase boundary and returned as a [`LinkError`] instead of
+    /// unwinding into the caller. The stores and their lazily built
+    /// indexes stay valid — a clean retry is bit-identical to a
+    /// never-faulted run.
+    pub fn try_run_sharded<'l>(
         &self,
         external: &RecordStore,
-        local: &ShardedStore,
+        local: impl Into<LocalShards<'l>>,
     ) -> LinkResult<LinkageResult> {
-        let mut runs = CandidateRuns::new();
-        self.stream_blocking(external, local.into(), &mut runs)?;
-        let naive_pairs = external.len() as u64 * local.len() as u64;
-        let compiled = self
-            .comparator
-            .compile_schemas(external.interner(), local.schema());
-        if compiled.uses_token_index() {
-            external.token_index();
-            for shard in local.shards() {
-                shard.token_index();
-            }
-        }
-        let comparisons = runs.total() as usize;
-        let queues: Vec<TaskQueue<'_>> = (0..local.shard_count())
-            .map(|s| TaskQueue::new(local.shard(s), local.offset(s), &runs, s, external.len()))
-            .collect();
-        let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
+        self.run_from(external, local.into(), 0)
     }
 
     /// Incremental linking against an appended catalog: link `external`
@@ -230,68 +148,67 @@ impl<'a> LinkagePipeline<'a> {
     ///
     /// The result is **bit-identical to the new-shard slice of a full
     /// re-run**: the same `(external, local, score)` links
-    /// [`run_sharded`](Self::run_sharded) would report with a local side
-    /// at global id ≥ `offset(first_new_shard)`, with `comparisons` and
-    /// `naive_pairs` counting only the delta work (so `reduction_ratio`
-    /// is the delta's own reduction). Per-shard-independent blockers
-    /// skip old shards outright (their probe loops never run); the
-    /// sorted-neighbourhood window still walks the whole catalog — its
-    /// windows span the shard boundary — but old-shard candidates are
-    /// dropped at the sink, so only new-shard pairs are ever scored.
-    ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).
-    pub fn run_sharded_delta(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-        first_new_shard: usize,
-    ) -> LinkageResult {
-        self.try_run_sharded_delta(external, local, first_new_shard)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_sharded_delta`](Self::run_sharded_delta): see
-    /// [`try_run_stores`](Self::try_run_stores) for the containment
-    /// contract. A `first_new_shard` at or past the shard count is an
-    /// empty delta (zero comparisons), not an error.
+    /// [`try_run_sharded`](Self::try_run_sharded) would report with a
+    /// local side at global id ≥ `offset(first_new_shard)`, with
+    /// `comparisons` and `naive_pairs` counting only the delta work (so
+    /// `reduction_ratio` is the delta's own reduction). Per-shard-independent
+    /// blockers skip old shards outright (their probe loops never run);
+    /// the sorted-neighbourhood window still walks the whole catalog —
+    /// its windows span the shard boundary — but old-shard candidates
+    /// are dropped at the sink, so only new-shard pairs are ever scored.
+    /// A `first_new_shard` at or past the shard count is an empty delta
+    /// (zero comparisons), not an error. Faults are contained as in
+    /// [`try_run_sharded`](Self::try_run_sharded).
     pub fn try_run_sharded_delta(
         &self,
         external: &RecordStore,
         local: &ShardedStore,
         first_new_shard: usize,
     ) -> LinkResult<LinkageResult> {
-        let first = first_new_shard.min(local.shard_count());
+        self.run_from(external, local.into(), first_new_shard)
+    }
+
+    /// The one run body: stream blocking for shards `first..` of
+    /// `local`, compile the comparator, warm the token indexes the
+    /// kernels read (old shards' indexes are already cached), score one
+    /// task queue per active shard and finish.
+    fn run_from(
+        &self,
+        external: &RecordStore,
+        local: LocalShards<'_>,
+        first: usize,
+    ) -> LinkResult<LinkageResult> {
+        let first = first.min(local.shard_count());
         let mut runs = CandidateRuns::new();
         runs.restrict_to_shards_from(first);
-        self.stream_blocking(external, local.into(), &mut runs)?;
-        let delta_len = if first == local.shard_count() {
-            0
-        } else {
-            local.len() - local.offset(first)
-        };
-        let naive_pairs = external.len() as u64 * delta_len as u64;
+        self.stream_blocking(external, local, &mut runs)?;
+        let active = || local.iter().enumerate().skip(first);
+        let active_len: usize = active().map(|(_, shard)| shard.len()).sum();
+        let naive_pairs = external.len() as u64 * active_len as u64;
         let compiled = self
             .comparator
             .compile_schemas(external.interner(), local.schema());
         if compiled.uses_token_index() {
+            // Build the token indexes before the workers start, so the
+            // per-pair loop only ever sees the cached index.
             external.token_index();
-            // Only the new shards can be cold; an old shard's index was
-            // built by the full run (or a previous delta) and is cached.
-            for shard in &local.shards()[first..] {
+            for (_, shard) in active() {
                 shard.token_index();
             }
         }
         let comparisons = runs.total() as usize;
-        let queues: Vec<TaskQueue<'_>> = (first..local.shard_count())
-            .map(|s| TaskQueue::new(local.shard(s), local.offset(s), &runs, s, external.len()))
+        let queues: Vec<TaskQueue<'_>> = active()
+            .map(|(s, shard)| TaskQueue::new(shard, local.offset(s), &runs, s, external.len()))
             .collect();
         let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
+        Ok(finish(
+            matches,
+            possible,
+            comparisons,
+            naive_pairs,
+            external,
+            local,
+        ))
     }
 
     /// The blocking failure domain: stream candidates into `runs`,
@@ -357,35 +274,33 @@ impl<'a> LinkagePipeline<'a> {
             score_stealing(compiled, external, queues, self.threads)
         }
     }
+}
 
-    /// Sort, account and materialise the result (shared tail of the
-    /// store and sharded paths).
-    fn finish<'t>(
-        &self,
-        mut matches: Vec<ScoredPair>,
-        mut possible: Vec<ScoredPair>,
-        comparisons: usize,
-        naive_pairs: u64,
-        external: &RecordStore,
-        local_id: impl Fn(usize) -> &'t Term,
-    ) -> LinkageResult {
-        // Deterministic output regardless of blocker emission order or
-        // steal interleaving: sort by index pair, not by cloned terms.
-        matches.sort_unstable_by_key(|a| (a.0, a.1));
-        possible.sort_unstable_by_key(|a| (a.0, a.1));
-        let comparisons = comparisons as u64;
-        let reduction_ratio = if naive_pairs == 0 {
-            0.0
-        } else {
-            1.0 - comparisons as f64 / naive_pairs as f64
-        };
-        LinkageResult {
-            matches: materialise(&matches, external, &local_id),
-            possible: materialise(&possible, external, &local_id),
-            comparisons,
-            naive_pairs,
-            reduction_ratio,
-        }
+/// Sort, account and materialise the result (the tail of every run).
+fn finish(
+    mut matches: Vec<ScoredPair>,
+    mut possible: Vec<ScoredPair>,
+    comparisons: usize,
+    naive_pairs: u64,
+    external: &RecordStore,
+    local: LocalShards<'_>,
+) -> LinkageResult {
+    // Deterministic output regardless of blocker emission order or
+    // steal interleaving: sort by index pair, not by cloned terms.
+    matches.sort_unstable_by_key(|a| (a.0, a.1));
+    possible.sort_unstable_by_key(|a| (a.0, a.1));
+    let comparisons = comparisons as u64;
+    let reduction_ratio = if naive_pairs == 0 {
+        0.0
+    } else {
+        1.0 - comparisons as f64 / naive_pairs as f64
+    };
+    LinkageResult {
+        matches: materialise(&matches, external, local),
+        possible: materialise(&possible, external, local),
+        comparisons,
+        naive_pairs,
+        reduction_ratio,
     }
 }
 
@@ -722,16 +637,12 @@ fn score_one(
 }
 
 /// Clone terms only for the pairs that became links.
-fn materialise<'t>(
-    pairs: &[ScoredPair],
-    external: &RecordStore,
-    local_id: impl Fn(usize) -> &'t Term,
-) -> Vec<Link> {
+fn materialise(pairs: &[ScoredPair], external: &RecordStore, local: LocalShards<'_>) -> Vec<Link> {
     pairs
         .iter()
         .map(|&(e, l, score)| Link {
             external: external.id(e).clone(),
-            local: local_id(l).clone(),
+            local: local.id(l).clone(),
             score,
         })
         .collect()
@@ -742,7 +653,18 @@ mod tests {
     use super::*;
     use crate::blocking::test_support::*;
     use crate::blocking::{BlockingKey, CartesianBlocker, StandardBlocker};
+    use crate::record::Record;
     use crate::similarity::SimilarityMeasure;
+
+    /// Columnarise two record slices and run the pipeline on them.
+    fn run(pipeline: &LinkagePipeline<'_>, external: &[Record], local: &[Record]) -> LinkageResult {
+        pipeline
+            .try_run_sharded(
+                &RecordStore::from_records(external),
+                &RecordStore::from_records(local),
+            )
+            .unwrap()
+    }
 
     fn comparator() -> RecordComparator {
         RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
@@ -753,7 +675,11 @@ mod tests {
     fn cartesian_pipeline_finds_all_true_links() {
         let (external, local) = small_dataset();
         let cmp = comparator();
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
+        let result = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
         assert_eq!(result.comparisons, 20);
         assert_eq!(result.naive_pairs, 20);
         assert_eq!(result.reduction_ratio, 0.0);
@@ -770,23 +696,10 @@ mod tests {
         let (external, local) = small_dataset();
         let cmp = comparator();
         let blocker = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
-        let result = LinkagePipeline::new(&blocker, &cmp).run(&external, &local);
+        let result = run(&LinkagePipeline::new(&blocker, &cmp), &external, &local);
         assert!(result.comparisons < 20);
         assert!(result.reduction_ratio > 0.0);
         assert_eq!(result.matches.len(), 4);
-    }
-
-    #[test]
-    fn run_on_stores_matches_run_on_records() {
-        let (external, local) = small_dataset();
-        let cmp = comparator();
-        let pipeline = LinkagePipeline::new(&CartesianBlocker, &cmp);
-        let from_records = pipeline.run(&external, &local);
-        let from_stores = pipeline.run_stores(
-            &RecordStore::from_records(&external),
-            &RecordStore::from_records(&local),
-        );
-        assert_eq!(from_records, from_stores);
     }
 
     #[test]
@@ -795,7 +708,11 @@ mod tests {
         external.push(ext_record(4, "CRCW0805-10X")); // near-miss of local 0
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
             .with_thresholds(0.99, 0.9);
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
+        let result = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
         assert!(!result.possible.is_empty());
         assert!(result
             .possible
@@ -814,10 +731,16 @@ mod tests {
             .collect();
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
             .with_thresholds(0.99, 0.5);
-        let serial = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
-        let parallel = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .with_threads(4)
-            .run(&external, &local);
+        let serial = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
+        let parallel = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp).with_threads(4),
+            &external,
+            &local,
+        );
         // Index-sorted output makes the two runs byte-identical.
         assert_eq!(serial, parallel);
     }
@@ -825,7 +748,7 @@ mod tests {
     #[test]
     fn empty_inputs_give_empty_result() {
         let cmp = comparator();
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&[], &[]);
+        let result = run(&LinkagePipeline::new(&CartesianBlocker, &cmp), &[], &[]);
         assert_eq!(result.comparisons, 0);
         assert!(result.matches.is_empty());
         assert_eq!(result.reduction_ratio, 0.0);
@@ -850,7 +773,8 @@ mod tests {
             .with_thresholds(0.99, 0.5);
         let external_store = RecordStore::from_records(&external);
         let serial = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .run_stores(&external_store, &RecordStore::from_records(&local));
+            .try_run_sharded(&external_store, &RecordStore::from_records(&local))
+            .unwrap();
         // Shard counts chosen to cover even, uneven and empty shards,
         // serial and work-stealing comparison phases.
         for shard_count in [1, 3, 7, 41] {
@@ -858,7 +782,8 @@ mod tests {
                 let sharded = crate::shard::ShardedStore::from_records(&local, shard_count);
                 let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
                     .with_threads(threads)
-                    .run_sharded(&external_store, &sharded);
+                    .try_run_sharded(&external_store, &sharded)
+                    .unwrap();
                 assert_eq!(
                     serial, result,
                     "{shard_count} shards, {threads} threads mismatch"
@@ -872,7 +797,8 @@ mod tests {
         let cmp = comparator();
         let sharded = crate::shard::ShardedStore::from_records(&[], 4);
         let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .run_sharded(&RecordStore::from_records(&[]), &sharded);
+            .try_run_sharded(&RecordStore::from_records(&[]), &sharded)
+            .unwrap();
         assert_eq!(result.comparisons, 0);
         assert!(result.matches.is_empty());
         assert_eq!(result.reduction_ratio, 0.0);

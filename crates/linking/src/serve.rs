@@ -15,33 +15,35 @@
 //!   ([`RecordComparator::compile_schemas`]). No probe ever pays a
 //!   first-call index build.
 //! * **Atomic epoch swap.** Epochs are published as `Arc`s behind a
-//!   [`RwLock`] ([`LinkerCatalog`]): [`Linker::swap`] builds and warms
+//!   [`RwLock`] ([`LinkerCatalog`]): [`Linker::try_swap`] builds and warms
 //!   the new epoch *outside* the lock, then flips the pointer. In-flight
 //!   probes keep the `Arc` of the epoch they started on, so a probe is
 //!   never torn across a swap and a swap never waits for probes.
-//! * **Incremental appends.** [`Linker::append`] publishes a successor
+//! * **Incremental appends.** [`Linker::try_append`] publishes a successor
 //!   epoch that `Arc`-shares the surviving shards of the current one —
 //!   their warmed artifacts carry over — and builds/warms only the
 //!   delta's appended shards, so growing the catalog costs O(delta)
-//!   where [`Linker::swap`] costs O(catalog).
-//! * **Fault-contained republish.** [`Linker::try_swap`] catches a panic
-//!   anywhere in the epoch build/warm *before* the lock is touched: a
-//!   failed republish returns [`LinkError::EpochBuildPanicked`], the old
-//!   epoch keeps serving, and the sequence stays strictly monotonic. The
-//!   lock itself recovers from poisoning (see [`LinkerCatalog`]), and
-//!   [`Linker::try_probe_with`] contains probe-path panics the same way.
+//!   where [`Linker::try_swap`] costs O(catalog).
+//! * **Fault-contained epoch builds.** [`Linker::open`],
+//!   [`Linker::try_swap`] and [`Linker::try_append`] build every epoch
+//!   inside one contained builder, *before* the lock is touched: a
+//!   failed build returns [`LinkError::EpochBuildPanicked`] (or the
+//!   injected error), a live linker's old epoch keeps serving, and the
+//!   sequence stays strictly monotonic. The lock itself recovers from
+//!   poisoning (see [`LinkerCatalog`]), and [`Linker::try_probe_with`]
+//!   contains probe-path panics the same way.
 //! * **The batch code path, verbatim.** A probe wraps the record in a
 //!   one-record external store (refilled **in place**, see
 //!   [`RecordStore`] internals), streams the epoch's blockers into the
 //!   caller's [`CandidateRuns`] sink, and scores through the *same*
 //!   [`TaskQueue`](crate::pipeline) + `score_range` code the batch
 //!   pipeline runs — which is what makes probe scores bit-identical to
-//!   `run_sharded` by construction
+//!   `try_run_sharded` by construction
 //!   (`crates/linking/tests/probe_equivalence.rs` pins it).
 //! * **Allocation-free warm probes.** All per-probe state lives in a
 //!   caller-owned [`ProbeScratch`] (probe store, sink, similarity
 //!   scratch, recycled [`LeftHoist`], result buffers); a warm
-//!   [`Linker::probe_with`] performs zero heap allocations until links
+//!   [`Linker::try_probe_with`] performs zero heap allocations until links
 //!   materialise their [`Term`](classilink_rdf::Term)s
 //!   (`crates/linking/tests/zero_alloc.rs` pins it).
 
@@ -150,7 +152,7 @@ static NEXT_LINKER_TAG: AtomicU64 = AtomicU64::new(1);
 /// The handle itself is `Sync`: any number of threads may probe (each
 /// with its own [`ProbeScratch`], or through the thread-local
 /// convenience [`probe`](Linker::probe)) while another thread
-/// [`swap`](Linker::swap)s in rebuilt catalogs.
+/// [`try_swap`](Linker::try_swap)s in rebuilt catalogs.
 pub struct Linker<'a> {
     blocker: &'a (dyn Blocker + Sync),
     comparator: &'a RecordComparator,
@@ -169,17 +171,33 @@ impl<'a> Linker<'a> {
     /// artifact a probe will read (blocker indexes via
     /// [`Blocker::warm`], token indexes when the comparator needs them)
     /// and publishing the result as epoch 1.
+    ///
+    /// Panics when building the epoch fails — [`open`](Self::open) is
+    /// the fault-contained constructor.
     pub fn new(
         blocker: &'a (dyn Blocker + Sync),
         comparator: &'a RecordComparator,
         catalog: ShardedStore,
     ) -> Self {
+        Self::try_new(blocker, comparator, catalog).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The contained constructor behind [`new`](Self::new) and
+    /// [`open`](Self::open): the first epoch goes through the same
+    /// [`contained_epoch`] builder as every republish.
+    fn try_new(
+        blocker: &'a (dyn Blocker + Sync),
+        comparator: &'a RecordComparator,
+        catalog: ShardedStore,
+    ) -> LinkResult<Self> {
         let probe_schema = SchemaInterner::new();
         for rule in &comparator.rules {
             probe_schema.intern(&rule.left_property);
         }
-        let epoch = build_epoch(blocker, comparator, &probe_schema, catalog, 1);
-        Linker {
+        let mut epoch =
+            contained_epoch(|| try_build_epoch(blocker, comparator, &probe_schema, catalog))?;
+        epoch.sequence = 1;
+        Ok(Linker {
             blocker,
             comparator,
             probe_schema,
@@ -187,7 +205,7 @@ impl<'a> Linker<'a> {
             catalog: LinkerCatalog {
                 current: RwLock::new(Arc::new(epoch)),
             },
-        }
+        })
     }
 
     /// The epoch slot (for callers that want to pin one epoch across
@@ -201,7 +219,7 @@ impl<'a> Linker<'a> {
     /// is the commit point: on `Err` nothing was committed and the
     /// previous generation — if any — is still the directory's restart
     /// point. Data files are content-addressed, so snapshotting after an
-    /// [`append`](Self::append) spills only the appended shards
+    /// [`try_append`](Self::try_append) spills only the appended shards
     /// (`shards_reused` in the receipt counts the carry-over).
     ///
     /// Serving is never interrupted: the spill reads one pinned epoch
@@ -222,7 +240,10 @@ impl<'a> Linker<'a> {
     ///
     /// Errs with [`LinkError::RestoreFailed`] when the directory holds
     /// no manifest or every generation fails validation — a half-loaded
-    /// catalog is never served.
+    /// catalog is never served — and with the epoch builder's error
+    /// (e.g. [`LinkError::EpochBuildPanicked`]) when compiling or
+    /// warming the restored catalog fails; nothing unwinds out of
+    /// `open`, and a retry reads the directory afresh.
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         blocker: &'a (dyn Blocker + Sync),
@@ -230,51 +251,31 @@ impl<'a> Linker<'a> {
     ) -> LinkResult<(Self, RecoveryReport)> {
         let (store, report) =
             CatalogSnapshot::open(dir).map_err(|source| LinkError::RestoreFailed { source })?;
-        Ok((Linker::new(blocker, comparator, store), report))
+        Ok((Linker::try_new(blocker, comparator, store)?, report))
     }
 
     /// Replace the served catalog: build and warm the new epoch (the
     /// expensive part, outside any lock), then swap it in atomically.
     /// In-flight probes finish on the epoch they started with; probes
-    /// beginning after `swap` returns see the new catalog. Returns the
+    /// beginning after the swap returns see the new catalog. Returns the
     /// new epoch's sequence number.
     ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_swap`](Self::try_swap).
-    pub fn swap(&self, catalog: ShardedStore) -> u64 {
-        self.try_swap(catalog).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`swap`](Self::swap): a panic while building or warming
-    /// the new epoch is caught *before* the catalog lock is ever taken
-    /// and returned as [`LinkError::EpochBuildPanicked`]. On `Err` the
-    /// previous epoch keeps serving, nothing is partially published, and
-    /// the sequence number does not advance — the next successful swap
-    /// continues the strictly monotonic sequence.
+    /// A panic while building or warming the new epoch is caught
+    /// *before* the catalog lock is ever taken and returned as
+    /// [`LinkError::EpochBuildPanicked`]. On `Err` the previous epoch
+    /// keeps serving, nothing is partially published, and the sequence
+    /// number does not advance — the next successful swap continues the
+    /// strictly monotonic sequence.
     pub fn try_swap(&self, catalog: ShardedStore) -> LinkResult<u64> {
-        // The sequence is provisional here; `publish` assigns the real
-        // one under the write lock.
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            try_build_epoch(
-                self.blocker,
-                self.comparator,
-                &self.probe_schema,
-                catalog,
-                0,
-            )
-        }));
-        match built {
-            Ok(Ok(epoch)) => Ok(self.catalog.publish(epoch)),
-            Ok(Err(error)) => Err(error),
-            Err(payload) => Err(LinkError::EpochBuildPanicked {
-                payload: panic_payload(payload),
-            }),
-        }
+        let epoch = contained_epoch(|| {
+            try_build_epoch(self.blocker, self.comparator, &self.probe_schema, catalog)
+        })?;
+        Ok(self.catalog.publish(epoch))
     }
 
     /// An empty shard builder whose schema continues the currently
     /// served catalog's (see [`ShardedStore::delta_builder`]) — fill it
-    /// with the delta batch and publish with [`append`](Self::append).
+    /// with the delta batch and publish with [`try_append`](Self::try_append).
     pub fn delta_builder(&self) -> ShardedStoreBuilder {
         self.catalog.load().store().delta_builder()
     }
@@ -284,8 +285,8 @@ impl<'a> Linker<'a> {
     /// appended to the current epoch's store, and publish the successor
     /// epoch. Returns the new epoch's sequence number.
     ///
-    /// Unlike [`swap`](Self::swap), which warms every shard of the
-    /// replacement catalog, the successor epoch `Arc`-shares the
+    /// Unlike [`try_swap`](Self::try_swap), which warms every shard of
+    /// the replacement catalog, the successor epoch `Arc`-shares the
     /// surviving shards — their key indexes, sort ladders, bigram
     /// layouts and token indexes carry over already warm — and only the
     /// **appended** shards are built and warmed. Republishing therefore
@@ -296,19 +297,13 @@ impl<'a> Linker<'a> {
     /// base (like any load-build-publish update); serialise appends on
     /// one updater thread to make every delta durable.
     ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_append`](Self::try_append).
-    pub fn append(&self, delta: ShardedStoreBuilder) -> u64 {
-        self.try_append(delta).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`append`](Self::append): a panic (or injected fault)
-    /// while columnarising the delta shards or warming their artifacts
-    /// is caught *before* the catalog lock is ever taken and returned as
-    /// a [`LinkError`]. On `Err` the previous epoch keeps serving —
-    /// nothing is partially appended, and the sequence does not advance.
+    /// A panic (or injected fault) while columnarising the delta shards
+    /// or warming their artifacts is caught *before* the catalog lock is
+    /// ever taken and returned as a [`LinkError`]. On `Err` the previous
+    /// epoch keeps serving — nothing is partially appended, and the
+    /// sequence does not advance.
     pub fn try_append(&self, delta: ShardedStoreBuilder) -> LinkResult<u64> {
-        let built = catch_unwind(AssertUnwindSafe(|| {
+        let epoch = contained_epoch(|| {
             // Models a fault at the append boundary, before the delta
             // columnarises or the base epoch is even loaded.
             fail::fail_point!("serve::append", |arg: Option<String>| Err(
@@ -342,14 +337,8 @@ impl<'a> Linker<'a> {
                 store: appended,
                 compiled,
             })
-        }));
-        match built {
-            Ok(Ok(epoch)) => Ok(self.catalog.publish(epoch)),
-            Ok(Err(error)) => Err(error),
-            Err(payload) => Err(LinkError::EpochBuildPanicked {
-                payload: panic_payload(payload),
-            }),
-        }
+        })?;
+        Ok(self.catalog.publish(epoch))
     }
 
     /// Probe with a caller-owned scratch — the allocation-free path: a
@@ -358,19 +347,12 @@ impl<'a> Linker<'a> {
     /// of the links it returns. The returned [`ProbeHits`] borrows the
     /// scratch and is valid until its next use.
     ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_probe_with`](Self::try_probe_with).
-    pub fn probe_with<'s>(&self, record: &Record, scratch: &'s mut ProbeScratch) -> &'s ProbeHits {
-        self.try_probe_with(record, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`probe_with`](Self::probe_with): a panic anywhere in
-    /// the probe path (refill, blocking, scoring, materialisation) is
-    /// caught and returned as [`LinkError::ProbePanicked`]. The scratch
-    /// stays usable — every stage re-initialises its buffers at the
-    /// start of the next call — so a clean retry over the same scratch
-    /// is bit-identical to a never-faulted probe.
+    /// A panic anywhere in the probe path (refill, blocking, scoring,
+    /// materialisation) is caught and returned as
+    /// [`LinkError::ProbePanicked`]. The scratch stays usable — every
+    /// stage re-initialises its buffers at the start of the next call —
+    /// so a clean retry over the same scratch is bit-identical to a
+    /// never-faulted probe.
     pub fn try_probe_with<'s>(
         &self,
         record: &Record,
@@ -456,32 +438,36 @@ impl<'a> Linker<'a> {
 
     /// Probe with a per-thread scratch: the links of `record` against
     /// the current epoch, sorted by global catalog id. Convenience over
-    /// [`probe_with`](Self::probe_with) (which also exposes possible
-    /// matches, the comparison count and the serving epoch).
+    /// [`try_probe_with`](Self::try_probe_with) (which also exposes
+    /// possible matches, the comparison count and the serving epoch, and
+    /// returns a probe fault instead of panicking with it).
     pub fn probe(&self, record: &Record) -> Vec<Link> {
         thread_local! {
             static SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::new());
         }
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            self.probe_with(record, &mut scratch).matches.clone()
+            self.try_probe_with(record, &mut scratch)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .matches
+                .clone()
         })
     }
 }
 
-/// Compile, warm and assemble one epoch (shared by [`Linker::new`] and
-/// [`Linker::swap`]; always outside the catalog lock). Panics on a
-/// contained fault; [`Linker::try_swap`] goes through
-/// [`try_build_epoch`] directly.
-fn build_epoch<'a>(
-    blocker: &(dyn Blocker + Sync),
-    comparator: &'a RecordComparator,
-    probe_schema: &SchemaInterner,
-    store: ShardedStore,
-    sequence: u64,
-) -> CatalogEpoch<'a> {
-    try_build_epoch(blocker, comparator, probe_schema, store, sequence)
-        .unwrap_or_else(|e| panic!("{e}"))
+/// The epoch-build failure domain: run `build` (a [`try_build_epoch`]
+/// or the append body) with panics caught and reported as
+/// [`LinkError::EpochBuildPanicked`]. Every epoch — the first one, each
+/// swap and each append — is built through here, always outside the
+/// catalog lock.
+fn contained_epoch<'a>(
+    build: impl FnOnce() -> LinkResult<CatalogEpoch<'a>>,
+) -> LinkResult<CatalogEpoch<'a>> {
+    catch_unwind(AssertUnwindSafe(build)).unwrap_or_else(|payload| {
+        Err(LinkError::EpochBuildPanicked {
+            payload: panic_payload(payload),
+        })
+    })
 }
 
 /// The epoch-build failure domain body: compile the comparator, build
@@ -494,7 +480,6 @@ fn try_build_epoch<'a>(
     comparator: &'a RecordComparator,
     probe_schema: &SchemaInterner,
     store: ShardedStore,
-    sequence: u64,
 ) -> LinkResult<CatalogEpoch<'a>> {
     fail::fail_point!("serve::build_epoch", |arg: Option<String>| Err(
         LinkError::injected("serve::build_epoch", arg)
@@ -508,7 +493,7 @@ fn try_build_epoch<'a>(
     fail::fail_point!("serve::warm");
     blocker.warm((&store).into());
     Ok(CatalogEpoch {
-        sequence,
+        sequence: 0, // provisional; the caller assigns the real one
         store,
         compiled,
     })
@@ -531,7 +516,7 @@ pub struct ProbeHits {
 /// A caller-owned probe workspace: the one-record probe store, the
 /// candidate sink, the similarity scratch, the recycled left hoist and
 /// the result buffers. Every buffer retains its capacity across probes,
-/// which is what makes warm [`Linker::probe_with`] calls
+/// which is what makes warm [`Linker::try_probe_with`] calls
 /// allocation-free. One scratch serves one thread; make one per worker.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {

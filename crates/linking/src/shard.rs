@@ -22,14 +22,12 @@
 //!   same scenario batch).
 //! * **Routing is a binary search.** [`ShardedStore::locate`] maps a
 //!   global id back to `(shard, local)` by binary-searching the offset
-//!   table; [`ShardedStore::route`] splits a global candidate list into
-//!   per-shard lists the same way. The pipeline itself no longer routes:
-//!   blockers **stream** per-shard runs of shard-local pairs directly
-//!   into the work-stealing task queues (see
+//!   table (used to resolve a link's global id to its item). Candidates
+//!   are never routed: blockers **stream** per-shard runs of
+//!   shard-local pairs directly into the work-stealing task queues (see
 //!   [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
 //!   and
-//!   [`LinkagePipeline::run_sharded`](crate::pipeline::LinkagePipeline::run_sharded));
-//!   routing remains for legacy materialised candidate lists.
+//!   [`LinkagePipeline::try_run_sharded`](crate::pipeline::LinkagePipeline::try_run_sharded)).
 //!
 //! Each shard, being a plain [`RecordStore`], also owns its lazily-built
 //! [`TokenIndex`](crate::token_index::TokenIndex); when the compiled
@@ -50,7 +48,6 @@
 //!  route() sends (e, 7) back to shard 1 as (e, 7 - offsets[1])
 //! ```
 
-use crate::blocking::CandidatePair;
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
@@ -236,19 +233,6 @@ impl ShardedStore {
             .find_map(|(shard, offset)| Some(offset + shard.index_of(id)?))
     }
 
-    /// Split a global candidate list into per-shard lists of
-    /// **shard-local** pairs — the task queues of the work-stealing
-    /// comparison phase. `route(pairs)[s]` preserves the relative order
-    /// of `pairs` within shard `s`.
-    pub fn route(&self, pairs: &[CandidatePair]) -> Vec<Vec<CandidatePair>> {
-        let mut routed = vec![Vec::new(); self.shard_count()];
-        for &(e, l) in pairs {
-            let (shard, local) = self.locate(l);
-            routed[shard].push((e, local));
-        }
-        routed
-    }
-
     /// Concatenate the shards back into one monolithic store (global ids
     /// become plain indexes). Mostly useful for tests and for feeding
     /// APIs that predate sharding; costs a full re-columnarisation.
@@ -362,10 +346,10 @@ impl ShardedStore {
 /// [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
 /// API.
 ///
-/// The two constructors cover both pipeline entry points: a monolithic
-/// [`RecordStore`] is *one* shard at offset 0
-/// ([`LocalShards::single`]), and a [`ShardedStore`] contributes its
-/// shard list, offset table and shared schema (`From<&ShardedStore>`).
+/// A monolithic [`RecordStore`] is *one* shard at offset 0
+/// ([`LocalShards::single`], or `From<&RecordStore>`), and a
+/// [`ShardedStore`] contributes its shard list, offset table and shared
+/// schema (`From<&ShardedStore>`).
 /// Blockers iterate [`iter`](Self::iter) and emit **shard-local**
 /// ids; [`offset`](Self::offset) recovers global ids when a blocker
 /// (sorted neighbourhood) needs the global ordering during blocking.
@@ -438,14 +422,18 @@ impl<'a> LocalShards<'a> {
         }
     }
 
-    /// The backing [`ShardedStore`], when this view was built from one.
-    /// The default [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
-    /// uses it to adapt legacy `candidate_pairs_sharded` overrides.
-    pub fn sharded(&self) -> Option<&'a ShardedStore> {
+    /// The item identifier of the record with this global id.
+    pub fn id(&self, global: usize) -> &'a Term {
         match self.0 {
-            ShardsInner::Single(_) => None,
-            ShardsInner::Sharded(s) => Some(s),
+            ShardsInner::Single(store) => store.id(global),
+            ShardsInner::Sharded(s) => s.id(global),
         }
+    }
+}
+
+impl<'a> From<&'a RecordStore> for LocalShards<'a> {
+    fn from(store: &'a RecordStore) -> Self {
+        LocalShards::single(store)
     }
 }
 
@@ -754,16 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn route_splits_and_localises_pairs() {
-        let sharded = ShardedStore::from_records(&records(6), 3); // shards of 2
-        let pairs = vec![(0, 0), (1, 3), (2, 5), (3, 1)];
-        let routed = sharded.route(&pairs);
-        assert_eq!(routed[0], vec![(0, 0), (3, 1)]);
-        assert_eq!(routed[1], vec![(1, 1)]);
-        assert_eq!(routed[2], vec![(2, 1)]);
-    }
-
-    #[test]
     fn from_graph_matches_single_store_order() {
         let mut g = Graph::new();
         for i in 0..5 {
@@ -811,7 +789,7 @@ mod tests {
         assert_eq!(single.offset(0), 0);
         assert!(std::ptr::eq(single.shard(0), &single_store));
         assert!(std::ptr::eq(single.schema(), single_store.interner()));
-        assert!(single.sharded().is_none());
+        assert_eq!(single.id(6), single_store.id(6));
 
         let sharded_store = ShardedStore::from_records(&records, 3);
         let sharded = LocalShards::from(&sharded_store);
@@ -823,7 +801,7 @@ mod tests {
             assert!(std::ptr::eq(sharded.shard(s), sharded_store.shard(s)));
         }
         assert!(std::ptr::eq(sharded.schema(), sharded_store.schema()));
-        assert!(sharded.sharded().is_some());
+        assert_eq!(sharded.id(6), sharded_store.id(6));
 
         let empty_store = RecordStore::from_records(&[]);
         assert!(LocalShards::single(&empty_store).is_empty());
@@ -949,7 +927,6 @@ mod tests {
         let store = ShardedStore::builder().build();
         assert_eq!(store.shard_count(), 1);
         assert!(store.is_empty());
-        assert!(store.route(&[]).iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The delta-linking equivalence guard: on a generated scenario, a
 //! catalog grown by [`ShardedStore::append_shards`] and linked
-//! incrementally with [`LinkagePipeline::run_sharded_delta`] produces
+//! incrementally with [`LinkagePipeline::try_run_sharded_delta`] produces
 //! **exactly the new-shard slice of a full re-run** — same links, same
 //! scores bit for bit (`f64::to_bits`) — for every built-in blocker
 //! (cartesian, standard key, sorted neighbourhood, bigram indexing,
@@ -138,8 +138,10 @@ fn assert_delta_equals_full_slice(scenario: &GeneratedScenario, blocker: &dyn Bl
         let delta_start = appended.offset(first_new);
         for threads in THREAD_COUNTS {
             let pipeline = LinkagePipeline::new(blocker, &cmp).with_threads(threads);
-            let full = pipeline.run_sharded(&external, &appended);
-            let delta = pipeline.run_sharded_delta(&external, &appended, first_new);
+            let full = pipeline.try_run_sharded(&external, &appended).unwrap();
+            let delta = pipeline
+                .try_run_sharded_delta(&external, &appended, first_new)
+                .unwrap();
 
             // The full run's links with a local side in the new shards.
             let slice = |links: &[Link]| -> Vec<(String, String, u64)> {
@@ -180,10 +182,14 @@ fn assert_delta_equals_full_slice(scenario: &GeneratedScenario, blocker: &dyn Bl
 
             // Degenerate bounds: an at-or-past-the-end first shard is an
             // empty delta; first shard 0 is exactly the full run.
-            let empty = pipeline.run_sharded_delta(&external, &appended, appended.shard_count());
+            let empty = pipeline
+                .try_run_sharded_delta(&external, &appended, appended.shard_count())
+                .unwrap();
             assert_eq!(empty.comparisons, 0, "{context}: empty delta compared");
             assert!(empty.matches.is_empty() && empty.possible.is_empty());
-            let everything = pipeline.run_sharded_delta(&external, &appended, 0);
+            let everything = pipeline
+                .try_run_sharded_delta(&external, &appended, 0)
+                .unwrap();
             assert_eq!(everything, full, "{context}: first_new_shard = 0");
         }
     }

@@ -156,7 +156,7 @@ fn watchdog_run(kind: BlockerKind, threads: usize) -> Result<LinkageResult, Link
         let cmp = comparator();
         let result = LinkagePipeline::new(blocker.as_ref(), &cmp)
             .with_threads(threads)
-            .try_run_sharded(&external, &local);
+            .try_run_sharded(&external, local.as_ref());
         let _ = tx.send(result);
     });
     rx.recv_timeout(WATCHDOG)
@@ -261,17 +261,17 @@ fn single_store_runs_contain_panics_and_heal() {
     let cmp = comparator();
     let pipeline = LinkagePipeline::new(blocker.as_ref(), &cmp).with_threads(4);
     let baseline = pipeline
-        .try_run_stores(&external, &local)
+        .try_run_sharded(&external, &local)
         .expect("unfaulted baseline");
     let armed = Armed::new("pipeline::score_range", "1*off->panic(chaos single)->off");
-    let error = pipeline.try_run_stores(&external, &local).unwrap_err();
+    let error = pipeline.try_run_sharded(&external, &local).unwrap_err();
     assert!(
         matches!(error, LinkError::WorkerPanicked { .. }),
         "{error:?}"
     );
     drop(armed);
     let healed = pipeline
-        .try_run_stores(&external, &local)
+        .try_run_sharded(&external, &local)
         .expect("clean re-run");
     assert_bit_identical(&healed, &baseline, "single store after score fault");
 }
@@ -404,7 +404,7 @@ fn failed_republish_keeps_serving_last_good_epoch() {
     let mut scratch = ProbeScratch::new();
     let probe = external_record(7);
 
-    let baseline = clone_hits(linker.probe_with(&probe, &mut scratch));
+    let baseline = clone_hits(linker.try_probe_with(&probe, &mut scratch).unwrap());
     assert_eq!(baseline.epoch, 1);
 
     for (site, actions, expect_injected) in [
@@ -428,14 +428,14 @@ fn failed_republish_keeps_serving_last_good_epoch() {
         // The failed republish left the old epoch serving, answers
         // bit-identical, sequence unmoved.
         assert_eq!(linker.catalog().load().sequence(), 1, "{site}");
-        let after = linker.probe_with(&probe, &mut scratch);
+        let after = linker.try_probe_with(&probe, &mut scratch).unwrap();
         assert_hits_bit_identical(after, &baseline, &format!("serving across failed {site}"));
     }
 
     // Failed swaps left no gap: the next success is simply epoch 2.
     let sequence = linker.try_swap(catalog_b.clone()).expect("clean swap");
     assert_eq!(sequence, 2);
-    let hits = linker.probe_with(&probe, &mut scratch);
+    let hits = linker.try_probe_with(&probe, &mut scratch).unwrap();
     assert_eq!(hits.epoch, 2);
 }
 
@@ -453,7 +453,7 @@ fn probe_scratch_heals_after_probe_faults() {
     let linker = Linker::new(blocker.as_ref(), &cmp, (*catalog).clone());
     let mut scratch = ProbeScratch::new();
     let probe = external_record(3);
-    let baseline = clone_hits(linker.probe_with(&probe, &mut scratch));
+    let baseline = clone_hits(linker.try_probe_with(&probe, &mut scratch).unwrap());
 
     for (site, actions) in [
         ("store::refill_single", "1*panic(chaos refill)->off"),
@@ -476,26 +476,39 @@ fn probe_scratch_heals_after_probe_faults() {
     }
 }
 
-/// The infallible wrappers keep their historical contract: they panic,
-/// with the structured error's message, instead of returning.
+/// The remaining infallible APIs (`Linker::new`, `Linker::probe`) keep
+/// their contract: they panic, with the structured error's message,
+/// instead of returning.
 #[test]
 fn infallible_wrappers_panic_with_structured_messages() {
     let _serial = serial();
     quiet_injected_panics();
     fail::teardown();
-    let (external, local) = dataset();
+    let (_, local) = dataset();
     let blocker = BlockerKind::Standard.build();
     let cmp = comparator();
-    let _armed = Armed::new("blocking::standard", "panic(chaos wrapper)");
+    let message_of = |payload: Box<dyn std::any::Any + Send>| {
+        payload
+            .downcast_ref::<String>()
+            .expect("wrapper panics with the Display of LinkError")
+            .clone()
+    };
+
+    let armed = Armed::new("serve::build_epoch", "panic(chaos wrapper)");
     let wrapped = catch_unwind(AssertUnwindSafe(|| {
-        LinkagePipeline::new(blocker.as_ref(), &cmp).run_sharded(&external, &local)
+        Linker::new(blocker.as_ref(), &cmp, (*local).clone());
     }))
     .unwrap_err();
-    let message = wrapped
-        .downcast_ref::<String>()
-        .expect("wrapper panics with the Display of LinkError");
-    assert!(message.contains("blocking phase"), "{message}");
-    assert!(message.contains("standard-blocking"), "{message}");
+    drop(armed);
+    let message = message_of(wrapped);
+    assert!(message.contains("epoch build panicked"), "{message}");
+    assert!(message.contains("chaos wrapper"), "{message}");
+
+    let linker = Linker::new(blocker.as_ref(), &cmp, (*local).clone());
+    let _armed = Armed::new("blocking::standard", "panic(chaos wrapper)");
+    let wrapped = catch_unwind(AssertUnwindSafe(|| linker.probe(&external_record(3)))).unwrap_err();
+    let message = message_of(wrapped);
+    assert!(message.contains("probe panicked"), "{message}");
     assert!(message.contains("chaos wrapper"), "{message}");
 }
 
@@ -524,16 +537,20 @@ fn remaining_sites_all_contain() {
     for (site, blocker) in blockers {
         let pipeline = LinkagePipeline::new(blocker, &cmp);
         let baseline = pipeline
-            .try_run_sharded(&external, &local)
+            .try_run_sharded(&external, local.as_ref())
             .expect("baseline");
         let armed = Armed::new(site, "panic(chaos sweep)");
-        let error = pipeline.try_run_sharded(&external, &local).unwrap_err();
+        let error = pipeline
+            .try_run_sharded(&external, local.as_ref())
+            .unwrap_err();
         assert!(
             matches!(error, LinkError::BlockingPanicked { .. }),
             "{site}: {error:?}"
         );
         drop(armed);
-        let healed = pipeline.try_run_sharded(&external, &local).expect("healed");
+        let healed = pipeline
+            .try_run_sharded(&external, local.as_ref())
+            .expect("healed");
         assert_bit_identical(&healed, &baseline, site);
     }
 }
@@ -672,7 +689,7 @@ fn failed_append_keeps_serving_last_good_epoch() {
         builder
     };
 
-    let baseline = clone_hits(linker.probe_with(&probe, &mut scratch));
+    let baseline = clone_hits(linker.try_probe_with(&probe, &mut scratch).unwrap());
     assert_eq!(baseline.epoch, 1);
 
     for (site, actions, expect_injected) in [
@@ -697,7 +714,7 @@ fn failed_append_keeps_serving_last_good_epoch() {
         // bit-identically, none of the would-be-appended records exist.
         assert_eq!(linker.catalog().load().sequence(), 1, "{site}");
         assert_eq!(linker.catalog().load().store().len(), LOCALS, "{site}");
-        let after = linker.probe_with(&probe, &mut scratch);
+        let after = linker.try_probe_with(&probe, &mut scratch).unwrap();
         assert_hits_bit_identical(after, &baseline, &format!("serving across failed {site}"));
     }
 
@@ -705,7 +722,7 @@ fn failed_append_keeps_serving_last_good_epoch() {
     // the appended shard: local 55 (55 % 8 == 7) is an exact PN match.
     let sequence = linker.try_append(delta(&linker)).expect("clean append");
     assert_eq!(sequence, 2);
-    let hits = linker.probe_with(&probe, &mut scratch);
+    let hits = linker.try_probe_with(&probe, &mut scratch).unwrap();
     assert_eq!(hits.epoch, 2);
     assert_eq!(
         hits.matches.len(),

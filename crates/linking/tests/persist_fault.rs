@@ -99,6 +99,38 @@ fn local_record(i: usize) -> Record {
     record
 }
 
+fn blocker() -> StandardBlocker {
+    StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 3))
+}
+
+fn comparator() -> RecordComparator {
+    RecordComparator::new(vec![AttributeRule {
+        left_property: EXT_PN.to_string(),
+        right_property: LOC_PN.to_string(),
+        measure: SimilarityMeasure::JaroWinkler,
+        weight: 1.0,
+    }])
+    .with_thresholds(0.95, 0.7)
+}
+
+/// An external record that links to catalog records `PN-07X`.
+fn probe_record() -> Record {
+    let mut probe = Record::new(Term::iri("http://provider.example.org/item/7"));
+    probe.add(EXT_PN, "PN-07X");
+    probe
+}
+
+/// The score bits of `probe`'s matches — a bit-identity fingerprint.
+fn match_score_bits(linker: &Linker<'_>, probe: &Record, scratch: &mut ProbeScratch) -> Vec<u64> {
+    linker
+        .try_probe_with(probe, scratch)
+        .unwrap()
+        .matches
+        .iter()
+        .map(|link| link.score.to_bits())
+        .collect()
+}
+
 /// A 3-shard base catalog and the same catalog grown by two appended
 /// shards — snapshotting both gives the two-generation fixture.
 fn base_and_appended() -> (ShardedStore, ShardedStore) {
@@ -282,25 +314,12 @@ fn load_faults_on_every_generation_fail_structurally_not_with_a_panic() {
 fn a_serving_linker_survives_a_failed_snapshot() {
     let _guard = serial();
     let catalog = ShardedStore::from_records(&(0..48).map(local_record).collect::<Vec<_>>(), 3);
-    let blocker = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 3));
-    let cmp = RecordComparator::new(vec![AttributeRule {
-        left_property: EXT_PN.to_string(),
-        right_property: LOC_PN.to_string(),
-        measure: SimilarityMeasure::JaroWinkler,
-        weight: 1.0,
-    }])
-    .with_thresholds(0.95, 0.7);
+    let (blocker, cmp) = (blocker(), comparator());
     let linker = Linker::new(&blocker, &cmp, catalog);
-    let mut probe = Record::new(Term::iri("http://provider.example.org/item/7"));
-    probe.add(EXT_PN, "PN-07X");
+    let probe = probe_record();
 
     let mut scratch = ProbeScratch::new();
-    let before: Vec<u64> = linker
-        .probe_with(&probe, &mut scratch)
-        .matches
-        .iter()
-        .map(|link| link.score.to_bits())
-        .collect();
+    let before = match_score_bits(&linker, &probe, &mut scratch);
     assert!(
         !before.is_empty(),
         "the probe must link or the guard is vacuous"
@@ -328,12 +347,7 @@ fn a_serving_linker_survives_a_failed_snapshot() {
 
     // Serving was never interrupted, and the failed spill left no
     // committed manifest behind.
-    let after: Vec<u64> = linker
-        .probe_with(&probe, &mut scratch)
-        .matches
-        .iter()
-        .map(|link| link.score.to_bits())
-        .collect();
+    let after = match_score_bits(&linker, &probe, &mut scratch);
     assert_eq!(before, after, "a failed snapshot perturbed serving");
     assert!(matches!(
         CatalogSnapshot::open(&dir),
@@ -344,13 +358,58 @@ fn a_serving_linker_survives_a_failed_snapshot() {
     linker.snapshot(&dir).expect("clean retry");
     let (restored, report) = Linker::open(&dir, &blocker, &cmp).expect("open");
     assert_eq!(report.generation, 1);
-    let mut cold = ProbeScratch::new();
-    let restored_bits: Vec<u64> = restored
-        .probe_with(&probe, &mut cold)
-        .matches
-        .iter()
-        .map(|link| link.score.to_bits())
-        .collect();
+    let restored_bits = match_score_bits(&restored, &probe, &mut ProbeScratch::new());
+    assert_eq!(before, restored_bits);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `Linker::open` builds its first epoch through the same contained
+/// builder as a swap: a fault while compiling or warming the restored
+/// catalog comes back as `Err` — for an injected error and for a panic
+/// alike — instead of unwinding out of `open`, and a retry with the
+/// failpoint removed restores a linker whose probes are bit-identical.
+#[test]
+fn open_returns_epoch_build_faults_as_errors() {
+    let _guard = serial();
+    quiet_injected_panics();
+    let catalog = ShardedStore::from_records(&(0..48).map(local_record).collect::<Vec<_>>(), 3);
+    let (blocker, cmp) = (blocker(), comparator());
+    let linker = Linker::new(&blocker, &cmp, catalog);
+    let probe = probe_record();
+    let before = match_score_bits(&linker, &probe, &mut ProbeScratch::new());
+    let dir = fresh_dir("linker_open");
+    linker.snapshot(&dir).expect("snapshot");
+
+    for (actions, expect_injected) in [
+        ("panic(chaos open build)", false),
+        ("return(chaos open error)", true),
+    ] {
+        let armed = Armed::new("serve::build_epoch", actions);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Linker::open(&dir, &blocker, &cmp).map(|(_, report)| report)
+        }));
+        drop(armed);
+        let error = match outcome {
+            Ok(Err(error)) => error,
+            Ok(Ok(_)) => panic!("{actions}: open succeeded under an armed build fault"),
+            Err(_) => panic!("{actions}: the build fault unwound out of Linker::open"),
+        };
+        match (&error, expect_injected) {
+            (LinkError::Injected { site, message }, true) => {
+                assert_eq!(site, "serve::build_epoch");
+                assert!(message.contains("chaos open error"), "{message}");
+            }
+            (LinkError::EpochBuildPanicked { payload }, false) => {
+                assert!(payload.contains("chaos open build"), "{payload}");
+            }
+            other => panic!("{actions}: wrong error {other:?}"),
+        }
+    }
+
+    let (restored, report) = Linker::open(&dir, &blocker, &cmp).expect("clean retry");
+    assert_eq!(report.generation, 1);
+    assert_eq!(restored.catalog().load().sequence(), 1);
+    let restored_bits = match_score_bits(&restored, &probe, &mut ProbeScratch::new());
     assert_eq!(before, restored_bits);
     let _ = fs::remove_dir_all(&dir);
 }

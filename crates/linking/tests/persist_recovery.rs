@@ -7,7 +7,7 @@
 //!   the restored store equal to the original and the second snapshot
 //!   directory **byte-for-byte identical** to the first (content
 //!   addressing makes the file set deterministic).
-//! * **Bit-identical linking.** `run_sharded` over a restored catalog
+//! * **Bit-identical linking.** `try_run_sharded` over a restored catalog
 //!   equals the in-memory run — scores compared as raw `f64` bits —
 //!   for every built-in blocker (cartesian, standard key, sorted
 //!   neighbourhood, bigram, classification rules), and probes through a
@@ -313,8 +313,8 @@ fn run_sharded_over_a_restored_catalog_is_bit_identical_for_every_blocker() {
     ];
     for blocker in blockers {
         let pipeline = LinkagePipeline::new(blocker, &cmp);
-        let memory = pipeline.run_sharded(&external, &catalog);
-        let disk = pipeline.run_sharded(&external, &restored);
+        let memory = pipeline.try_run_sharded(&external, &catalog).unwrap();
+        let disk = pipeline.try_run_sharded(&external, &restored).unwrap();
         let to_bits = |links: &[Link]| links.iter().map(bits).collect::<Vec<_>>();
         let context = blocker.name().to_string();
         assert_eq!(
@@ -366,13 +366,13 @@ fn linker_snapshot_then_open_serves_bit_identical_probes() {
     let mut linked = 0usize;
     for i in 0..40 {
         let record = external_record(i);
-        let a = linker.probe_with(&record, &mut live);
+        let a = linker.try_probe_with(&record, &mut live).unwrap();
         let a = (
             a.matches.iter().map(bits).collect::<Vec<_>>(),
             a.possible.iter().map(bits).collect::<Vec<_>>(),
             a.comparisons,
         );
-        let b = restored.probe_with(&record, &mut cold);
+        let b = restored.try_probe_with(&record, &mut cold).unwrap();
         let b = (
             b.matches.iter().map(bits).collect::<Vec<_>>(),
             b.possible.iter().map(bits).collect::<Vec<_>>(),

@@ -1,5 +1,5 @@
 //! The serving-layer concurrency guard: reader threads hammer
-//! [`Linker::probe_with`] while a writer thread swaps in a sequence of
+//! [`Linker::try_probe_with`] while a writer thread swaps in a sequence of
 //! grown catalogs. Every probe must return a link set that is *exactly*
 //! correct for the epoch it reports (precomputed per epoch via the
 //! batch pipeline) — never a blend of two catalogs — and once the final
@@ -87,7 +87,9 @@ fn stress(blocker: &(dyn Blocker + Sync)) {
     let expected: Vec<Vec<Vec<Link>>> = catalogs
         .iter()
         .map(|catalog| {
-            let batch = LinkagePipeline::new(blocker, &cmp).run_sharded(&probe_store, catalog);
+            let batch = LinkagePipeline::new(blocker, &cmp)
+                .try_run_sharded(&probe_store, catalog)
+                .unwrap();
             probes
                 .iter()
                 .map(|probe| {
@@ -120,7 +122,7 @@ fn stress(blocker: &(dyn Blocker + Sync)) {
                 let mut observed = BTreeSet::new();
                 for iteration in 0usize.. {
                     let j = (reader + iteration) % probes.len();
-                    let hits = linker.probe_with(&probes[j], &mut scratch);
+                    let hits = linker.try_probe_with(&probes[j], &mut scratch).unwrap();
                     let t = usize::try_from(hits.epoch).unwrap() - 1;
                     assert!(
                         t <= SWAPS,
@@ -143,7 +145,7 @@ fn stress(blocker: &(dyn Blocker + Sync)) {
                 // The final swap is published: a fresh probe must run
                 // against the last catalog and see its newest record.
                 let j = probes.len() - 1;
-                let hits = linker.probe_with(&probes[j], &mut scratch);
+                let hits = linker.try_probe_with(&probes[j], &mut scratch).unwrap();
                 assert_eq!(hits.epoch, final_epoch, "reader {reader}: final epoch");
                 assert_links_bit_identical(
                     &hits.matches,
@@ -160,7 +162,7 @@ fn stress(blocker: &(dyn Blocker + Sync)) {
             thread::yield_now();
         }
         for (t, catalog) in catalogs.iter().enumerate().skip(1) {
-            let sequence = linker.swap(catalog.clone());
+            let sequence = linker.try_swap(catalog.clone()).unwrap();
             assert_eq!(sequence as usize, t + 1, "swap sequence");
             thread::sleep(Duration::from_millis(2));
         }
@@ -196,8 +198,8 @@ fn concurrent_probes_see_consistent_epochs_bigram() {
 }
 
 /// Chaos variant (failpoint builds only): the writer's first republish
-/// panics mid-`build_epoch` while 4 readers hammer `probe_with`. The
-/// readers must never observe a poisoned lock (`probe_with` would
+/// panics mid-`build_epoch` while 4 readers hammer `try_probe_with`. The
+/// readers must never observe a poisoned lock (`try_probe_with` would
 /// panic), a partial epoch (their links are checked against the exact
 /// epoch they report), or a sequence regression; the writer's retry then
 /// publishes epoch 2 with no gap.
@@ -222,7 +224,9 @@ fn readers_survive_a_panicked_swap() {
     let expected: Vec<Vec<Vec<Link>>> = catalogs
         .iter()
         .map(|catalog| {
-            let batch = LinkagePipeline::new(&blocker, &cmp).run_sharded(&probe_store, catalog);
+            let batch = LinkagePipeline::new(&blocker, &cmp)
+                .try_run_sharded(&probe_store, catalog)
+                .unwrap();
             probes
                 .iter()
                 .map(|probe| {
@@ -252,7 +256,7 @@ fn readers_survive_a_panicked_swap() {
                     let j = (reader + iteration) % probes.len();
                     // A poisoned catalog lock or partial epoch would
                     // panic (or mis-answer) right here.
-                    let hits = linker.probe_with(&probes[j], &mut scratch);
+                    let hits = linker.try_probe_with(&probes[j], &mut scratch).unwrap();
                     assert!(
                         hits.epoch >= last_epoch,
                         "reader {reader}: sequence regressed {last_epoch} -> {}",
@@ -302,7 +306,7 @@ fn readers_survive_a_panicked_swap() {
     });
 
     let mut scratch = ProbeScratch::new();
-    let hits = linker.probe_with(&probes[1], &mut scratch);
+    let hits = linker.try_probe_with(&probes[1], &mut scratch).unwrap();
     assert_eq!(hits.epoch, 2);
     assert_links_bit_identical(&hits.matches, &expected[1][1], "post-retry probe");
     assert!(

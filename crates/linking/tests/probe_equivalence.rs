@@ -1,6 +1,6 @@
 //! The serving-layer equivalence guard: for every built-in blocker, a
 //! [`Linker`] probe of one record returns **exactly** that record's
-//! slice of the batch pipeline's `run_sharded` output — same link sets,
+//! slice of the batch pipeline's `try_run_sharded` output — same link sets,
 //! same decisions, scores compared bit for bit (`f64::to_bits`) — across
 //! {1, 3, 8} shard catalogs, including the learned rule-based
 //! classifier; plus a property test over random catalogs and probes.
@@ -107,14 +107,16 @@ fn assert_probe_equals_batch(
     catalog: &ShardedStore,
     context: &str,
 ) {
-    let batch: LinkageResult = LinkagePipeline::new(blocker, cmp).run_sharded(external, catalog);
+    let batch: LinkageResult = LinkagePipeline::new(blocker, cmp)
+        .try_run_sharded(external, catalog)
+        .unwrap();
     let linker = Linker::new(blocker, cmp, catalog.clone());
     let mut scratch = ProbeScratch::new();
     let mut probed_comparisons = 0u64;
     let mut probed_links = 0usize;
     for e in 0..external.len() {
         let record = external.record(e);
-        let hits = linker.probe_with(&record, &mut scratch);
+        let hits = linker.try_probe_with(&record, &mut scratch).unwrap();
         probed_comparisons += hits.comparisons;
         probed_links += hits.matches.len();
         assert_eq!(hits.epoch, 1, "{context}: initial epoch");
@@ -130,7 +132,10 @@ fn assert_probe_equals_batch(
         );
         // The convenience path reports the same matches.
         let convenience = linker.probe(&record);
-        assert_eq!(convenience, hits.matches, "{context}: probe vs probe_with");
+        assert_eq!(
+            convenience, hits.matches,
+            "{context}: probe vs try_probe_with"
+        );
     }
     assert_eq!(
         probed_comparisons, batch.comparisons,
@@ -139,10 +144,14 @@ fn assert_probe_equals_batch(
     assert_eq!(probed_links, batch.matches.len(), "{context}: total links");
     // Swapping in the same catalog bumps the epoch without changing any
     // answer (warm scratch reused across the swap).
-    assert_eq!(linker.swap(catalog.clone()), 2, "{context}: swap sequence");
+    assert_eq!(
+        linker.try_swap(catalog.clone()).unwrap(),
+        2,
+        "{context}: swap sequence"
+    );
     for e in 0..external.len() {
         let record = external.record(e);
-        let hits = linker.probe_with(&record, &mut scratch);
+        let hits = linker.try_probe_with(&record, &mut scratch).unwrap();
         assert_eq!(hits.epoch, 2, "{context}: post-swap epoch");
         assert_links_bit_identical(
             &hits.matches,
@@ -158,7 +167,9 @@ fn assert_blocker_equivalence(blocker: &(dyn Blocker + Sync)) {
     let mut asserted_links = false;
     for shard_count in SHARD_COUNTS {
         let (external, catalog) = scenario.sharded_stores(shard_count);
-        let batch = LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &catalog);
+        let batch = LinkagePipeline::new(blocker, &cmp)
+            .try_run_sharded(&external, &catalog)
+            .unwrap();
         asserted_links |= !batch.matches.is_empty();
         assert_probe_equals_batch(
             blocker,
@@ -214,7 +225,7 @@ fn probing_an_empty_catalog_finds_nothing() {
     let mut scratch = ProbeScratch::new();
     let mut record = Record::new(Term::iri("http://probe.example.org/item/0"));
     record.add(vocab::PROVIDER_PART_NUMBER, "CRCW0805-10K");
-    let hits = linker.probe_with(&record, &mut scratch);
+    let hits = linker.try_probe_with(&record, &mut scratch).unwrap();
     assert!(hits.matches.is_empty());
     assert!(hits.possible.is_empty());
     assert_eq!(hits.comparisons, 0);
@@ -238,11 +249,12 @@ fn probe_record_without_the_key_property_matches_batch() {
     let mut bare = Record::new(Term::iri("http://probe.example.org/item/bare"));
     bare.add("http://probe.example.org/vocab#unrelated", "no key here");
     let mut scratch = ProbeScratch::new();
-    let hits = linker.probe_with(&bare, &mut scratch);
+    let hits = linker.try_probe_with(&bare, &mut scratch).unwrap();
     assert!(hits.matches.is_empty());
     assert_eq!(hits.comparisons, 0);
     let batch = LinkagePipeline::new(&blocker, &cmp)
-        .run_sharded(&RecordStore::from_records(&[bare]), &catalog);
+        .try_run_sharded(&RecordStore::from_records(&[bare]), &catalog)
+        .unwrap();
     assert_eq!(batch.comparisons, 0);
 }
 
@@ -301,11 +313,11 @@ mod properties {
             let blockers: [&(dyn Blocker + Sync); 2] = [&standard, &neighborhood];
             for blocker in blockers {
                 let batch =
-                    LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &catalog);
+                    LinkagePipeline::new(blocker, &cmp).try_run_sharded(&external, &catalog).unwrap();
                 let linker = Linker::new(blocker, &cmp, catalog.clone());
                 let mut scratch = ProbeScratch::new();
                 for (e, record) in external_records.iter().enumerate() {
-                    let hits = linker.probe_with(record, &mut scratch);
+                    let hits = linker.try_probe_with(record, &mut scratch).unwrap();
                     let expected = slice_of(&batch.matches, &record.id);
                     prop_assert_eq!(
                         hits.matches.len(),

@@ -89,13 +89,16 @@ fn assert_sharded_byte_identical(
     let cmp = comparator();
     let external = RecordStore::from_records(external_records);
     let local = RecordStore::from_records(local_records);
-    let serial = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
+    let serial = LinkagePipeline::new(blocker, &cmp)
+        .try_run_sharded(&external, &local)
+        .unwrap();
     for &shard_count in shard_counts {
         let sharded = ShardedStore::from_records(local_records, shard_count);
         for threads in [1, 4] {
             let result = LinkagePipeline::new(blocker, &cmp)
                 .with_threads(threads)
-                .run_sharded(&external, &sharded);
+                .try_run_sharded(&external, &sharded)
+                .unwrap();
             assert_eq!(
                 serial,
                 result,
@@ -191,7 +194,7 @@ fn compiled_comparator_is_reusable_across_shards() {
 /// Monge-Elkan), the pipeline's results — **scores included, not just
 /// decisions** — are
 ///
-/// 1. identical between `run_stores` and `run_sharded` at several shard
+/// 1. identical between a monolithic store and `try_run_sharded` at several shard
 ///    and thread counts, and
 /// 2. bit-identical to a reference scorer built from the naive
 ///    (pre-kernel-swap) measure implementations in `similarity::naive`.
@@ -252,7 +255,9 @@ fn generated_scenario_scores_survive_the_kernel_swap() {
         vocab::LOCAL_PART_NUMBER,
         2,
     ));
-    let serial = LinkagePipeline::new(&blocker, &cmp).run_stores(&external, &local);
+    let serial = LinkagePipeline::new(&blocker, &cmp)
+        .try_run_sharded(&external, &local)
+        .unwrap();
     assert!(
         !serial.matches.is_empty(),
         "guard scenario produced no links — the assertions below would be vacuous"
@@ -264,7 +269,8 @@ fn generated_scenario_scores_survive_the_kernel_swap() {
             let (sharded_external, sharded_local) = scenario.sharded_stores(shard_count);
             let sharded = LinkagePipeline::new(&blocker, &cmp)
                 .with_threads(threads)
-                .run_sharded(&sharded_external, &sharded_local);
+                .try_run_sharded(&sharded_external, &sharded_local)
+                .unwrap();
             assert_eq!(
                 serial, sharded,
                 "{shard_count} shards / {threads} threads diverged (scores included)"
@@ -363,10 +369,10 @@ proptest! {
         );
         let blockers: [&dyn Blocker; 3] = [&CartesianBlocker, &standard, &sorted];
         for blocker in blockers {
-            let serial = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
+            let serial = LinkagePipeline::new(blocker, &cmp).try_run_sharded(&external, &local).unwrap();
             let result = LinkagePipeline::new(blocker, &cmp)
                 .with_threads(threads)
-                .run_sharded(&external, &sharded);
+                .try_run_sharded(&external, &sharded).unwrap();
             prop_assert_eq!(&serial, &result, "{} diverged", blocker.name());
         }
     }

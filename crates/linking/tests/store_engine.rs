@@ -6,8 +6,8 @@
 
 use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, DisjointnessFilter, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
+    candidate_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, DisjointnessFilter,
+    RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{
     LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
@@ -83,17 +83,20 @@ fn assert_serial_parallel_agree(
     local: &RecordStore,
 ) {
     let cmp = comparator();
-    let candidates = blocker.candidate_pairs(external, local);
+    let candidates = candidate_pairs(blocker, external, local);
     assert!(
         candidates.len() >= 1024,
         "{}: only {} candidates — parallel path not exercised",
         blocker.name(),
         candidates.len()
     );
-    let serial = LinkagePipeline::new(blocker, &cmp).run_stores(external, local);
+    let serial = LinkagePipeline::new(blocker, &cmp)
+        .try_run_sharded(external, local)
+        .unwrap();
     let parallel = LinkagePipeline::new(blocker, &cmp)
         .with_threads(4)
-        .run_stores(external, local);
+        .try_run_sharded(external, local)
+        .unwrap();
     assert_eq!(
         serial,
         parallel,
@@ -170,17 +173,17 @@ fn every_blocker_handles_empty_stores() {
     let (populated, _) = large_stores();
     for blocker in &blockers {
         assert!(
-            blocker.candidate_pairs(&empty(), &empty()).is_empty(),
+            candidate_pairs(blocker.as_ref(), &empty(), &empty()).is_empty(),
             "{} emitted pairs on empty × empty",
             blocker.name()
         );
         assert!(
-            blocker.candidate_pairs(&populated, &empty()).is_empty(),
+            candidate_pairs(blocker.as_ref(), &populated, &empty()).is_empty(),
             "{} emitted pairs on populated × empty",
             blocker.name()
         );
         assert!(
-            blocker.candidate_pairs(&empty(), &populated).is_empty(),
+            candidate_pairs(blocker.as_ref(), &empty(), &populated).is_empty(),
             "{} emitted pairs on empty × populated",
             blocker.name()
         );
@@ -192,12 +195,8 @@ fn key_based_blockers_skip_attributeless_records() {
     let (_, local) = large_stores();
     let bare = attributeless(5);
     let key = BlockingKey::per_side(EXT_PN, LOC_PN, 4);
-    assert!(StandardBlocker::new(key.clone())
-        .candidate_pairs(&bare, &local)
-        .is_empty());
-    assert!(BigramBlocker::new(key, 0.7)
-        .candidate_pairs(&bare, &local)
-        .is_empty());
+    assert!(candidate_pairs(&StandardBlocker::new(key.clone()), &bare, &local).is_empty());
+    assert!(candidate_pairs(&BigramBlocker::new(key, 0.7), &bare, &local).is_empty());
 }
 
 #[test]
@@ -206,7 +205,8 @@ fn pipeline_on_empty_stores_is_empty() {
     for threads in [1, 4] {
         let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
             .with_threads(threads)
-            .run_stores(&empty(), &empty());
+            .try_run_sharded(&empty(), &empty())
+            .unwrap();
         assert_eq!(result.comparisons, 0);
         assert_eq!(result.naive_pairs, 0);
         assert!(result.matches.is_empty() && result.possible.is_empty());

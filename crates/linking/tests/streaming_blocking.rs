@@ -17,7 +17,7 @@ use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLear
 use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
+    candidate_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
     SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::pipeline::{Link, LinkageResult};
@@ -308,7 +308,7 @@ fn assert_streaming_matches_reference(
         blocker.name()
     );
 
-    // Single-store streaming (run_stores path), decoded **through the
+    // Single-store streaming (monolithic-store path), decoded **through the
     // block representation**.
     let mut runs = CandidateRuns::new();
     blocker.stream_candidates(
@@ -353,10 +353,10 @@ fn assert_streaming_matches_reference(
             blocker.name()
         );
         // And the legacy materialising API agrees too.
-        let materialised: BTreeSet<(usize, usize)> = blocker
-            .candidate_pairs_sharded(&sharded_external, &sharded_local)
-            .into_iter()
-            .collect();
+        let materialised: BTreeSet<(usize, usize)> =
+            candidate_pairs(blocker, &sharded_external, &sharded_local)
+                .into_iter()
+                .collect();
         assert_eq!(
             &materialised,
             reference,
@@ -367,7 +367,8 @@ fn assert_streaming_matches_reference(
         for threads in THREAD_COUNTS {
             let result = LinkagePipeline::new(blocker, &cmp)
                 .with_threads(threads)
-                .run_sharded(&sharded_external, &sharded_local);
+                .try_run_sharded(&sharded_external, &sharded_local)
+                .unwrap();
             assert_eq!(
                 expected,
                 result,
@@ -378,9 +379,16 @@ fn assert_streaming_matches_reference(
         }
     }
 
-    // run_stores agrees with the reference as well.
-    let result = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
-    assert_eq!(expected, result, "{}: run_stores diverged", blocker.name());
+    // The pipeline over the monolithic store agrees with the reference as well.
+    let result = LinkagePipeline::new(blocker, &cmp)
+        .try_run_sharded(&external, &local)
+        .unwrap();
+    assert_eq!(
+        expected,
+        result,
+        "{}: single-store run diverged",
+        blocker.name()
+    );
 }
 
 #[test]

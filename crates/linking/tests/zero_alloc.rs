@@ -216,7 +216,7 @@ fn steady_state_blocking_never_allocates() {
     // shard index: the warm call must find it without allocating.
     let bigram_high = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.7);
     let mut runs = CandidateRuns::new();
-    // Single-store view: the run_stores blocking path. Standard emits
+    // Single-store view: the monolithic-store blocking path. Standard emits
     // keyed blocks, bigram explicit runs, cartesian span blocks — all
     // three encodings of the block sink stay allocation-free warm.
     assert_blocking_steady_state(&standard, &external, LocalShards::single(&local), &mut runs);
@@ -233,7 +233,7 @@ fn steady_state_blocking_never_allocates() {
         LocalShards::single(&local),
         &mut runs,
     );
-    // Sharded view: the run_sharded blocking path (per-shard key
+    // Sharded view: the sharded blocking path (per-shard key
     // indexes, external-side artifacts shared across shards).
     let sharded = ShardedStore::from_records(
         &(0..24)
@@ -252,7 +252,7 @@ fn steady_state_blocking_never_allocates() {
 }
 
 // ---------------------------------------------------------------------
-// The serving layer: warm `Linker::probe_with` calls.
+// The serving layer: warm `Linker::try_probe_with` calls.
 // ---------------------------------------------------------------------
 
 /// The catalog side of [`stores`] as a sharded store.
@@ -288,7 +288,7 @@ fn measure_probe_sweep(
 ) -> (u64, usize) {
     let mut comparisons = 0;
     for probe in probes {
-        comparisons += linker.probe_with(probe, scratch).comparisons;
+        comparisons += linker.try_probe_with(probe, scratch).unwrap().comparisons;
     }
     assert!(
         comparisons > 0,
@@ -297,7 +297,7 @@ fn measure_probe_sweep(
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut links = 0;
     for probe in probes {
-        let hits = linker.probe_with(probe, scratch);
+        let hits = linker.try_probe_with(probe, scratch).unwrap();
         links += hits.matches.len() + hits.possible.len();
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
