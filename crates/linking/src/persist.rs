@@ -467,8 +467,8 @@ impl<'a> Reader<'a> {
 
     fn term(&mut self) -> Result<Term, PersistError> {
         match self.u8()? {
-            0 => Ok(Term::Iri(self.string()?)),
-            1 => Ok(Term::Blank(self.string()?)),
+            0 => Ok(Term::iri(self.str()?)),
+            1 => Ok(Term::blank(self.str()?)),
             2 => {
                 let value = self.string()?;
                 let flags = self.u8()?;
@@ -477,11 +477,12 @@ impl<'a> Reader<'a> {
                 }
                 let language = (flags & 0b01 != 0).then(|| self.string()).transpose()?;
                 let datatype = (flags & 0b10 != 0).then(|| self.string()).transpose()?;
-                Ok(Term::Literal(Literal {
+                Ok(Literal {
                     value,
                     language,
                     datatype,
-                }))
+                }
+                .into())
             }
             kind => Err(self.corrupt(format!("unknown term kind {kind}"))),
         }

@@ -295,9 +295,14 @@ fn finish(
     } else {
         1.0 - comparisons as f64 / naive_pairs as f64
     };
+    let links = |pairs: &[ScoredPair]| {
+        let mut out = Vec::with_capacity(pairs.len());
+        materialise_into(&mut out, pairs, external, local);
+        out
+    };
     LinkageResult {
-        matches: materialise(&matches, external, local),
-        possible: materialise(&possible, external, local),
+        matches: links(&matches),
+        possible: links(&possible),
         comparisons,
         naive_pairs,
         reduction_ratio,
@@ -636,16 +641,23 @@ fn score_one(
     }
 }
 
-/// Clone terms only for the pairs that became links.
-fn materialise(pairs: &[ScoredPair], external: &RecordStore, local: LocalShards<'_>) -> Vec<Link> {
-    pairs
-        .iter()
-        .map(|&(e, l, score)| Link {
-            external: external.id(e).clone(),
-            local: local.id(l).clone(),
-            score,
-        })
-        .collect()
+/// Clear `out` and refill it with the links of `pairs` (external record
+/// index, global local id, score), keeping its capacity. Only the pairs
+/// that became links get terms, and each term is a clone of the store's
+/// own id, which shares its payload: a link costs two reference-count
+/// bumps and no allocation. The batch tail and every probe call this.
+pub(crate) fn materialise_into(
+    out: &mut Vec<Link>,
+    pairs: &[ScoredPair],
+    external: &RecordStore,
+    local: LocalShards<'_>,
+) {
+    out.clear();
+    out.extend(pairs.iter().map(|&(e, l, score)| Link {
+        external: external.id(e).clone(),
+        local: local.id(l).clone(),
+        score,
+    }));
 }
 
 #[cfg(test)]
@@ -655,6 +667,7 @@ mod tests {
     use crate::blocking::{BlockingKey, CartesianBlocker, StandardBlocker};
     use crate::record::Record;
     use crate::similarity::SimilarityMeasure;
+    use std::sync::Arc;
 
     /// Columnarise two record slices and run the pipeline on them.
     fn run(pipeline: &LinkagePipeline<'_>, external: &[Record], local: &[Record]) -> LinkageResult {
@@ -802,5 +815,36 @@ mod tests {
         assert_eq!(result.comparisons, 0);
         assert!(result.matches.is_empty());
         assert_eq!(result.reduction_ratio, 0.0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn link_is_two_shared_terms_and_a_score() {
+        // 24 + 24 + 8: a link holds two reference-counted terms, so
+        // materialising millions of them stays a compact, copy-free write.
+        assert_eq!(std::mem::size_of::<Link>(), 56);
+    }
+
+    #[test]
+    fn links_share_the_stores_id_payloads() {
+        let (external, local) = small_dataset();
+        let external = RecordStore::from_records(&external);
+        let local = crate::shard::ShardedStore::from_records(&local, 2);
+        let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
+            .with_thresholds(0.95, 0.0);
+        let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
+            .try_run_sharded(&external, &local)
+            .unwrap();
+        assert!(!result.matches.is_empty() && !result.possible.is_empty());
+        let same = |a: &Term, b: &Term| match (a, b) {
+            (Term::Iri(a), Term::Iri(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        for link in result.matches.iter().chain(&result.possible) {
+            let e = external.index_of(&link.external).unwrap();
+            let l = local.index_of(&link.local).unwrap();
+            assert!(same(&link.external, external.id(e)), "external term copied");
+            assert!(same(&link.local, local.id(l)), "local term copied");
+        }
     }
 }

@@ -43,8 +43,9 @@
 //! * **Allocation-free warm probes.** All per-probe state lives in a
 //!   caller-owned [`ProbeScratch`] (probe store, sink, similarity
 //!   scratch, recycled [`LeftHoist`], result buffers); a warm
-//!   [`Linker::try_probe_with`] performs zero heap allocations until links
-//!   materialise their [`Term`](classilink_rdf::Term)s
+//!   [`Linker::try_probe_with`] performs zero heap allocations, links
+//!   included: a link's [`Term`](classilink_rdf::Term)s are clones of the
+//!   probe record's and the catalog's ids and share their payloads
 //!   (`crates/linking/tests/zero_alloc.rs` pins it).
 
 use crate::blocking::{Blocker, CandidateRuns};
@@ -52,7 +53,7 @@ use crate::comparator::{CompiledComparator, LeftHoist, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, SchemaInterner};
 use crate::persist::{CatalogSnapshot, RecoveryReport, SnapshotReceipt};
-use crate::pipeline::{score_range, Link, ScoredPair, TaskQueue};
+use crate::pipeline::{materialise_into, score_range, Link, ScoredPair, TaskQueue};
 use crate::record::Record;
 use crate::shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
 use crate::similarity::SimScratch;
@@ -343,8 +344,9 @@ impl<'a> Linker<'a> {
 
     /// Probe with a caller-owned scratch — the allocation-free path: a
     /// **warm** call (same scratch, same linker, no new probe-side
-    /// property) performs zero heap allocations up to the `Term` clones
-    /// of the links it returns. The returned [`ProbeHits`] borrows the
+    /// property) performs zero heap allocations, including for the links
+    /// it returns (their terms share the record's and the catalog's id
+    /// payloads). The returned [`ProbeHits`] borrows the
     /// scratch and is valid until its next use.
     ///
     /// A panic anywhere in the probe path (refill, blocking, scoring,
@@ -426,13 +428,13 @@ impl<'a> Linker<'a> {
             &mut scratch.hits.matches,
             &scratch.matches,
             &scratch.store,
-            store,
+            store.into(),
         );
         materialise_into(
             &mut scratch.hits.possible,
             &scratch.possible,
             &scratch.store,
-            store,
+            store.into(),
         );
     }
 
@@ -549,20 +551,4 @@ impl ProbeScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Clear-and-refill link materialisation: `out` keeps its capacity, so
-/// a warm probe's only allocations are the `Term` clones of each link.
-fn materialise_into(
-    out: &mut Vec<Link>,
-    pairs: &[ScoredPair],
-    probe: &RecordStore,
-    catalog: &ShardedStore,
-) {
-    out.clear();
-    out.extend(pairs.iter().map(|&(e, l, score)| Link {
-        external: probe.id(e).clone(),
-        local: catalog.id(l).clone(),
-        score,
-    }));
 }

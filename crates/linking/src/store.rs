@@ -482,8 +482,8 @@ impl RecordStore {
     /// re-derived only when the schema grows.
     ///
     /// Two deliberate departures from a frozen store: `index_of` always
-    /// misses (the id→index map is kept empty to avoid a per-refill
-    /// [`Term`] clone), and the token-index caches are discarded rather
+    /// misses (the id→index map is kept empty, so a refill does no
+    /// hashing), and the token-index caches are discarded rather
     /// than rebuilt (set-measure kernels re-tokenise the single record
     /// lazily).
     pub(crate) fn refill_single(
@@ -515,12 +515,8 @@ impl RecordStore {
             sorted_properties.sort_by(|a, b| interner.resolve(*a).cmp(interner.resolve(*b)));
         }
 
-        if self.ids.len() == 1 {
-            assign_term(&mut self.ids[0], &record.id);
-        } else {
-            self.ids.clear();
-            self.ids.push(record.id.clone());
-        }
+        self.ids.clear();
+        self.ids.push(record.id.clone());
         self.id_index.clear();
 
         for column in &mut self.columns {
@@ -597,18 +593,6 @@ impl RecordStore {
             .key_indexes
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = key_indexes;
-    }
-}
-
-/// Overwrite `dest` with `src`, reusing `dest`'s string allocation when
-/// both are the same simple variant (the warm-probe common case).
-fn assign_term(dest: &mut Term, src: &Term) {
-    match (dest, src) {
-        (Term::Iri(d), Term::Iri(s)) | (Term::Blank(d), Term::Blank(s)) => {
-            d.clear();
-            d.push_str(s);
-        }
-        (dest, src) => *dest = src.clone(),
     }
 }
 

@@ -245,11 +245,12 @@ fn build_catalog(shards: &[Vec<GenRecord>]) -> ShardedStore {
             let id = match kind % 3 {
                 0 => Term::iri(format!("http://e.org/item/{n}/{suffix}")),
                 1 => Term::blank(format!("b{n}-{suffix}")),
-                _ => Term::Literal(Literal {
+                _ => Literal {
                     value: format!("{n}:{suffix}"),
                     language: (kind % 2 == 0).then(|| "en".to_string()),
                     datatype: (kind % 5 == 0).then(|| "http://w3.org/xsd#string".to_string()),
-                }),
+                }
+                .into(),
             };
             n += 1;
             let mut record = Record::new(id);

@@ -201,50 +201,48 @@ pub fn write(graph: &Graph) -> String {
     out
 }
 
-/// A small character cursor over one statement.
+/// A small cursor over one statement, advancing by byte offset through
+/// the already-validated `&str` so tokens can be sliced out without
+/// copying them char by char.
 struct Cursor<'a> {
-    chars: Vec<char>,
+    raw: &'a str,
     pos: usize,
     line_no: usize,
-    raw: &'a str,
 }
 
 impl<'a> Cursor<'a> {
     fn new(raw: &'a str, line_no: usize) -> Self {
         Cursor {
-            chars: raw.chars().collect(),
+            raw,
             pos: 0,
             line_no,
-            raw,
         }
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
+        self.pos >= self.raw.len()
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.raw[self.pos..].chars().next()
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
+        if let Some(c) = c {
+            self.pos += c.len_utf8();
         }
         c
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+            self.bump();
         }
     }
 
-    fn rest(&self) -> String {
-        self.chars[self.pos.min(self.chars.len())..]
-            .iter()
-            .collect()
+    fn rest(&self) -> &'a str {
+        &self.raw[self.pos..]
     }
 
     fn expect(&mut self, expected: char) -> Result<()> {
@@ -266,7 +264,7 @@ impl<'a> Cursor<'a> {
 
     fn parse_term(&mut self) -> Result<Term> {
         match self.peek() {
-            Some('<') => self.parse_iri(),
+            Some('<') => Ok(Term::iri(self.parse_iri()?)),
             Some('_') => self.parse_blank(),
             Some('"') => self.parse_literal(),
             Some(c) => Err(RdfError::parse(
@@ -283,68 +281,54 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_iri(&mut self) -> Result<Term> {
+    /// An `<iri>` token, returned as a slice of the statement (the caller
+    /// copies it once, into the term's shared payload).
+    fn parse_iri(&mut self) -> Result<&'a str> {
         self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => iri.push(c),
-                None => {
-                    return Err(RdfError::parse(
-                        self.line_no,
-                        format!("unterminated IRI in: {}", self.raw),
-                    ))
-                }
-            }
-        }
-        if iri.is_empty() {
+        let start = self.pos;
+        let Some(len) = self.rest().find('>') else {
+            return Err(RdfError::parse(
+                self.line_no,
+                format!("unterminated IRI in: {}", self.raw),
+            ));
+        };
+        self.pos += len + 1;
+        if len == 0 {
             return Err(RdfError::InvalidIri("<>".to_string()));
         }
-        Ok(Term::Iri(iri))
+        Ok(&self.raw[start..start + len])
     }
 
     fn parse_blank(&mut self) -> Result<Term> {
         self.expect('_')?;
         self.expect(':')?;
-        let mut label = String::new();
-        // Unwrap-free scan: `peek` both guards and yields the char, so
-        // EOF mid-token simply ends the loop.
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() {
-                break;
-            }
-            self.bump();
-            label.push(c);
-        }
-        if label.is_empty() {
+        let rest = self.rest();
+        let len = rest.find(char::is_whitespace).unwrap_or(rest.len());
+        self.pos += len;
+        if len == 0 {
             return Err(RdfError::parse(
                 self.line_no,
                 format!("empty blank node label in: {}", self.raw),
             ));
         }
-        Ok(Term::Blank(label))
+        Ok(Term::blank(&rest[..len]))
     }
 
     fn parse_literal(&mut self) -> Result<Term> {
         self.expect('"')?;
-        let mut raw = String::new();
+        let start = self.pos;
         loop {
             match self.bump() {
                 Some('\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c),
-                        None => {
-                            return Err(RdfError::InvalidLiteral(format!(
-                                "dangling escape in: {}",
-                                self.raw
-                            )))
-                        }
+                    if self.bump().is_none() {
+                        return Err(RdfError::InvalidLiteral(format!(
+                            "dangling escape in: {}",
+                            self.raw
+                        )));
                     }
                 }
                 Some('"') => break,
-                Some(c) => raw.push(c),
+                Some(_) => {}
                 None => {
                     return Err(RdfError::InvalidLiteral(format!(
                         "unterminated literal in: {}",
@@ -353,34 +337,31 @@ impl<'a> Cursor<'a> {
                 }
             }
         }
-        let value = unescape_literal(&raw);
+        // `pos` is one past the closing quote.
+        let value = unescape_literal(&self.raw[start..self.pos - 1]);
         match self.peek() {
             Some('@') => {
                 self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if !(c.is_alphanumeric() || c == '-') {
-                        break;
-                    }
-                    self.bump();
-                    lang.push(c);
-                }
-                if lang.is_empty() {
+                let rest = self.rest();
+                let len = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                self.pos += len;
+                if len == 0 {
                     return Err(RdfError::InvalidLiteral(format!(
                         "empty language tag in: {}",
                         self.raw
                     )));
                 }
-                Ok(Term::Literal(Literal::lang(value, lang)))
+                Ok(Literal::lang(value, &rest[..len]).into())
             }
             Some('^') => {
                 self.bump();
                 self.expect('^')?;
-                let dt = self.parse_iri()?;
-                let dt_iri = dt.as_iri().expect("parse_iri returns IRIs").to_string();
-                Ok(Term::Literal(Literal::typed(value, dt_iri)))
+                let datatype = self.parse_iri()?;
+                Ok(Literal::typed(value, datatype).into())
             }
-            _ => Ok(Term::Literal(Literal::plain(value))),
+            _ => Ok(Literal::plain(value).into()),
         }
     }
 }

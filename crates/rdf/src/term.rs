@@ -1,13 +1,15 @@
 //! RDF terms: IRIs, blank nodes and literals.
 //!
-//! Terms are the building blocks of triples. The representation here is
-//! deliberately simple (owned `String`s); the [`crate::dictionary`] module is
-//! responsible for interning them into compact ids when large graphs are
-//! stored.
+//! Terms are the building blocks of triples. A [`Term`] keeps its payload
+//! behind an [`Arc`], so cloning one (a triple's subject, a record id, the
+//! two ends of every link) is a reference-count bump, not a string copy.
+//! The [`crate::dictionary`] module is responsible for interning terms into
+//! compact ids when large graphs are stored.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A literal value: lexical form plus optional datatype IRI or language tag.
 ///
@@ -141,40 +143,49 @@ pub fn unescape_literal(s: &str) -> String {
 }
 
 /// An RDF term: IRI, blank node or literal.
+///
+/// Every payload is shared: `Clone` bumps a reference count and never
+/// allocates, and a term is three words (24 bytes on 64-bit targets)
+/// whatever its variant. Equality, ordering and hashing go by content,
+/// exactly as for owned strings, so two terms built from the same text are
+/// equal and sort and hash alike whether or not they share an allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Term {
     /// An IRI reference, stored without surrounding angle brackets.
-    Iri(String),
+    Iri(Arc<str>),
     /// A blank node, stored without the leading `_:`.
-    Blank(String),
+    Blank(Arc<str>),
     /// A literal value.
-    Literal(Literal),
+    Literal(Arc<Literal>),
 }
 
 impl Term {
-    /// Construct an IRI term.
-    pub fn iri(iri: impl Into<String>) -> Self {
-        Term::Iri(iri.into())
+    /// Construct an IRI term, copying the text once into its shared
+    /// payload (build [`Term::Iri`] directly to adopt an existing
+    /// `Arc<str>` without a copy).
+    pub fn iri(iri: impl AsRef<str>) -> Self {
+        Term::Iri(Arc::from(iri.as_ref()))
     }
 
-    /// Construct a blank-node term.
-    pub fn blank(label: impl Into<String>) -> Self {
-        Term::Blank(label.into())
+    /// Construct a blank-node term, copying the label once into its shared
+    /// payload.
+    pub fn blank(label: impl AsRef<str>) -> Self {
+        Term::Blank(Arc::from(label.as_ref()))
     }
 
     /// Construct a plain literal term.
     pub fn literal(value: impl Into<String>) -> Self {
-        Term::Literal(Literal::plain(value))
+        Literal::plain(value).into()
     }
 
     /// Construct a typed literal term.
     pub fn typed_literal(value: impl Into<String>, datatype: impl Into<String>) -> Self {
-        Term::Literal(Literal::typed(value, datatype))
+        Literal::typed(value, datatype).into()
     }
 
     /// Construct a language-tagged literal term.
     pub fn lang_literal(value: impl Into<String>, lang: impl Into<String>) -> Self {
-        Term::Literal(Literal::lang(value, lang))
+        Literal::lang(value, lang).into()
     }
 
     /// `true` if this term is an IRI.
@@ -248,7 +259,7 @@ impl fmt::Display for Term {
 
 impl From<Literal> for Term {
     fn from(l: Literal) -> Self {
-        Term::Literal(l)
+        Term::Literal(Arc::new(l))
     }
 }
 
@@ -350,6 +361,31 @@ mod tests {
         assert_eq!(Term::iri("http://e.org/x").value_str(), "http://e.org/x");
         assert_eq!(Term::blank("b").value_str(), "b");
         assert_eq!(Term::literal("63V").value_str(), "63V");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn term_is_three_words() {
+        // A tag plus the widest payload (the `Arc<str>` fat pointer).
+        assert_eq!(std::mem::size_of::<Term>(), 24);
+    }
+
+    #[test]
+    fn clones_share_the_payload_and_compare_by_content() {
+        let iri = Term::iri("http://e.org/x");
+        let lit = Term::lang_literal("v", "en");
+        for term in [&iri, &lit] {
+            let copy = term.clone();
+            let shared = match (term, &copy) {
+                (Term::Iri(a), Term::Iri(b)) => Arc::ptr_eq(a, b),
+                (Term::Literal(a), Term::Literal(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            assert!(shared, "clone of {term} copied its payload");
+        }
+        // Separately built terms are distinct allocations, yet equal.
+        assert_eq!(iri, Term::iri(String::from("http://e.org/x")));
+        assert_eq!(lit, Term::from(Literal::lang("v", "en")));
     }
 
     #[test]

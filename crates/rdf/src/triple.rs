@@ -33,8 +33,8 @@ impl Triple {
 
     /// Convenience constructor from IRI strings and a plain literal object.
     pub fn literal(
-        subject: impl Into<String>,
-        predicate: impl Into<String>,
+        subject: impl AsRef<str>,
+        predicate: impl AsRef<str>,
         value: impl Into<String>,
     ) -> Self {
         Triple::new(
@@ -46,9 +46,9 @@ impl Triple {
 
     /// Convenience constructor from three IRI strings.
     pub fn iris(
-        subject: impl Into<String>,
-        predicate: impl Into<String>,
-        object: impl Into<String>,
+        subject: impl AsRef<str>,
+        predicate: impl AsRef<str>,
+        object: impl AsRef<str>,
     ) -> Self {
         Triple::new(Term::iri(subject), Term::iri(predicate), Term::iri(object))
     }

@@ -72,6 +72,9 @@ pub struct TurtleStreamer {
     /// 1-based line of the first unconsumed byte (for error reporting).
     line: usize,
     namespaces: Namespaces,
+    /// The statement parser's prefixed-name scratch, kept between
+    /// statements.
+    expanded: String,
     pending: VecDeque<Triple>,
     finished: bool,
     drained_tail: bool,
@@ -218,10 +221,12 @@ impl TurtleStreamer {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| RdfError::parse(self.line, "invalid UTF-8 in input"))?;
         let namespaces = std::mem::take(&mut self.namespaces);
-        let mut parser = Parser::with_state(text, self.line, namespaces);
+        let expanded = std::mem::take(&mut self.expanded);
+        let mut parser = Parser::with_state(text, self.line, namespaces, expanded);
         let outcome = parser.parse_single();
         self.line = parser.line;
         self.namespaces = parser.namespaces;
+        self.expanded = parser.expanded;
         if outcome.is_ok() {
             self.pending.extend(parser.triples.drain(..));
         }
@@ -269,7 +274,7 @@ pub fn write(graph: &Graph, namespaces: &Namespaces) -> String {
 pub fn write_term(term: &Term, namespaces: &Namespaces) -> String {
     match term {
         Term::Iri(iri) => {
-            if iri == crate::namespace::vocab::RDF_TYPE {
+            if &**iri == crate::namespace::vocab::RDF_TYPE {
                 "a".to_string()
             } else {
                 match namespaces.shrink(iri) {
@@ -306,21 +311,27 @@ fn is_safe_curie(curie: &str) -> bool {
 /// The statement-level parser shared by [`TurtleStreamer`] and batch
 /// [`parse`]: one instance parses exactly one directive or triple statement,
 /// with the prefix table and line counter threaded in and out by the caller.
-struct Parser {
-    chars: Vec<char>,
+///
+/// The parser walks the statement's `&str` by byte offset, so IRI refs and
+/// blank labels are sliced out and copied once, into the term's payload.
+struct Parser<'a> {
+    input: &'a str,
     pos: usize,
     line: usize,
     namespaces: Namespaces,
+    /// Scratch for prefixed-name expansion, reused across statements.
+    expanded: String,
     triples: Vec<Triple>,
 }
 
-impl Parser {
-    fn with_state(input: &str, line: usize, namespaces: Namespaces) -> Self {
+impl<'a> Parser<'a> {
+    fn with_state(input: &'a str, line: usize, namespaces: Namespaces, expanded: String) -> Self {
         Parser {
-            chars: input.chars().collect(),
+            input,
             pos: 0,
             line,
             namespaces,
+            expanded,
             triples: Vec::new(),
         }
     }
@@ -345,11 +356,15 @@ impl Parser {
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
+        self.pos >= self.input.len()
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.rest().chars().next()
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -358,17 +373,13 @@ impl Parser {
             if ch == '\n' {
                 self.line += 1;
             }
-            self.pos += 1;
+            self.pos += ch.len_utf8();
         }
         c
     }
 
     fn peek_str(&self, s: &str) -> bool {
-        self.chars[self.pos..]
-            .iter()
-            .take(s.chars().count())
-            .copied()
-            .eq(s.chars())
+        self.rest().starts_with(s)
     }
 
     fn skip_ws_and_comments(&mut self) {
@@ -403,17 +414,9 @@ impl Parser {
             self.bump();
         }
         self.skip_ws_and_comments();
-        let mut prefix = String::new();
-        // Unwrap-free scan: `peek` both guards and yields the char, so
-        // EOF mid-token simply ends the loop (and `expect` below reports
+        // EOF mid-token simply ends the scan (and `expect` below reports
         // the truncation as a parse error).
-        while let Some(c) = self.peek() {
-            if c == ':' || c.is_whitespace() {
-                break;
-            }
-            self.bump();
-            prefix.push(c);
-        }
+        let prefix = self.take_while(|c| !(c == ':' || c.is_whitespace()));
         self.expect(':')?;
         self.skip_ws_and_comments();
         let iri = self.parse_iri_ref()?;
@@ -465,7 +468,7 @@ impl Parser {
     fn parse_verb(&mut self) -> Result<Term> {
         if self.peek() == Some('a') {
             // `a` is only the rdf:type keyword when followed by whitespace.
-            let next = self.chars.get(self.pos + 1).copied();
+            let next = self.rest()[1..].chars().next();
             if next.is_none() || next.is_some_and(|c| c.is_whitespace()) {
                 self.bump();
                 return Ok(Term::iri(crate::namespace::vocab::RDF_TYPE));
@@ -474,15 +477,21 @@ impl Parser {
         self.parse_term()
     }
 
-    fn parse_iri_ref(&mut self) -> Result<String> {
+    /// Advance past the longest run of chars satisfying `keep` (counting
+    /// lines as it goes) and return that run as a slice of the input.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if keep(c)) {
+            self.bump();
+        }
+        &self.input[start..self.pos]
+    }
+
+    fn parse_iri_ref(&mut self) -> Result<&'a str> {
         self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => iri.push(c),
-                None => return Err(self.err("unterminated IRI")),
-            }
+        let iri = self.take_while(|c| c != '>');
+        if self.bump().is_none() {
+            return Err(self.err("unterminated IRI"));
         }
         if iri.is_empty() {
             return Err(RdfError::InvalidIri("<>".to_string()));
@@ -492,10 +501,10 @@ impl Parser {
 
     fn parse_term(&mut self) -> Result<Term> {
         match self.peek() {
-            Some('<') => Ok(Term::Iri(self.parse_iri_ref()?)),
+            Some('<') => Ok(Term::iri(self.parse_iri_ref()?)),
             Some('"') => self.parse_literal(),
             Some('_') => self.parse_blank(),
-            Some(c) if c.is_alphanumeric() => self.parse_prefixed_name(),
+            Some(c) if c.is_alphanumeric() => Ok(Term::iri(self.parse_prefixed_name()?)),
             Some(c) => Err(self.err(format!("unexpected character '{c}' at start of term"))),
             None => Err(self.err("unexpected end of input, expected a term")),
         }
@@ -504,90 +513,70 @@ impl Parser {
     fn parse_blank(&mut self) -> Result<Term> {
         self.expect('_')?;
         self.expect(':')?;
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if !(c.is_alphanumeric() || c == '_' || c == '-') {
-                break;
-            }
-            self.bump();
-            label.push(c);
-        }
+        let label = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         if label.is_empty() {
             return Err(self.err("empty blank node label"));
         }
-        Ok(Term::Blank(label))
+        Ok(Term::blank(label))
     }
 
-    fn parse_prefixed_name(&mut self) -> Result<Term> {
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if !(c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.')) {
-                break;
-            }
-            self.bump();
-            name.push(c);
-        }
+    /// Read a prefixed name and return its expansion, spelled out in the
+    /// parser's reused `expanded` buffer.
+    fn parse_prefixed_name(&mut self) -> Result<&str> {
+        let scanned =
+            self.take_while(|c| c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.'));
         // A trailing '.' belongs to the statement terminator, not the name.
-        while name.ends_with('.') {
-            name.pop();
-            self.pos -= 1;
-        }
+        let name = scanned.trim_end_matches('.');
+        self.pos -= scanned.len() - name.len();
         let (prefix, local) = name
             .split_once(':')
             .ok_or_else(|| self.err(format!("expected prefixed name, found '{name}'")))?;
-        match self.namespaces.get(prefix) {
-            Some(ns) => Ok(Term::iri(format!("{ns}{local}"))),
-            None => Err(RdfError::UnknownPrefix(prefix.to_string())),
-        }
+        let ns = self
+            .namespaces
+            .get(prefix)
+            .ok_or_else(|| RdfError::UnknownPrefix(prefix.to_string()))?;
+        self.expanded.clear();
+        self.expanded.push_str(ns);
+        self.expanded.push_str(local);
+        Ok(&self.expanded)
     }
 
     fn parse_literal(&mut self) -> Result<Term> {
         self.expect('"')?;
-        let mut raw = String::new();
+        let start = self.pos;
         loop {
             match self.bump() {
                 Some('\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c),
-                        None => return Err(self.err("dangling escape in literal")),
+                    if self.bump().is_none() {
+                        return Err(self.err("dangling escape in literal"));
                     }
                 }
                 Some('"') => break,
-                Some(c) => raw.push(c),
+                Some(_) => {}
                 None => return Err(self.err("unterminated literal")),
             }
         }
-        let value = unescape_literal(&raw);
+        // `pos` is one past the closing quote.
+        let value = unescape_literal(&self.input[start..self.pos - 1]);
         match self.peek() {
             Some('@') => {
                 self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if !(c.is_alphanumeric() || c == '-') {
-                        break;
-                    }
-                    self.bump();
-                    lang.push(c);
-                }
+                let lang = self.take_while(|c| c.is_alphanumeric() || c == '-');
                 if lang.is_empty() {
                     return Err(self.err("empty language tag"));
                 }
-                Ok(Term::Literal(Literal::lang(value, lang)))
+                Ok(Literal::lang(value, lang).into())
             }
             Some('^') => {
                 self.bump();
                 self.expect('^')?;
-                let dt = match self.peek() {
+                let datatype = match self.peek() {
                     Some('<') => self.parse_iri_ref()?,
-                    _ => match self.parse_prefixed_name()? {
-                        Term::Iri(iri) => iri,
-                        _ => unreachable!("prefixed names always produce IRIs"),
-                    },
+                    _ => self.parse_prefixed_name()?,
                 };
-                Ok(Term::Literal(Literal::typed(value, dt)))
+                Ok(Literal::typed(value, datatype).into())
             }
-            _ => Ok(Term::Literal(Literal::plain(value))),
+            _ => Ok(Literal::plain(value).into()),
         }
     }
 }
